@@ -13,12 +13,11 @@ Two measurements land in ``BENCH_crawling.json`` at the repo root:
 
 ``topology_ingestion``
     A power-law base graph grows node-by-node (each new node attaching
-    with a handful of edges) while a stable-counter-layout
+    with a handful of edges) while a
     :class:`~repro.streaming.monitor.TopKMonitor` ingests the
     ``NodeAdd``/``EdgeAdd`` events incrementally.  Every step is timed
     against a from-scratch monitor on the same grown graph — same
-    seed, same layout, so the fresh answer is also the bit-identity
-    oracle: a step's timing only counts after its incremental answer
+    seed, so the fresh answer is also the bit-identity oracle: a step's timing only counts after its incremental answer
     matches exactly.  The CI gate holds the aggregate speedup at >= 3x.
 
 Usage
@@ -74,12 +73,8 @@ def build_powerlaw_graph(n: int, seed: int) -> UncertainGraph:
     )
 
 
-def make_monitor(
-    graph: UncertainGraph, k: int, seed: int, layout: str = "stable"
-) -> TopKMonitor:
-    return TopKMonitor(
-        graph, k, seed=seed, engine="indexed", counter_layout=layout
-    )
+def make_monitor(graph: UncertainGraph, k: int, seed: int) -> TopKMonitor:
+    return TopKMonitor(graph, k, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -178,8 +173,7 @@ def bench_topology(n: int, k: int, events: int, seed: int) -> dict:
         sampling_modes[report.sampling] = (
             sampling_modes.get(report.sampling, 0) + 1
         )
-        # Same seed + same stable layout: the fresh monitor draws the
-        # identical worlds, so it is both the full-recompute baseline
+        # Same seed: the fresh monitor draws the identical worlds, so it is both the full-recompute baseline
         # and the exactness oracle.
         started = time.perf_counter()
         fresh = make_monitor(graph, k, seed).top_k()
@@ -230,7 +224,6 @@ def run(args: argparse.Namespace, mode: str) -> dict:
         "seed": args.seed,
         "edge_factor": EDGE_FACTOR,
         "engine": "indexed",
-        "counter_layout": "stable",
         "recall_vs_budget": recall,
         "topology_ingestion": topology,
     }

@@ -379,7 +379,7 @@ def run(
     service = RiskService(
         graph,
         mode="thread",
-        monitor_defaults={"seed": seed, "engine": "indexed"},
+        monitor_defaults={"seed": seed},
     )
     for tenant in tenant_ids:
         service.register_tenant(tenant, k)

@@ -1,23 +1,19 @@
-"""Benchmark: the scaled-out indexed engine (PR 5's three layers).
+"""Benchmark: streaming repair and memory of the packed world state.
 
-Three measurements back the engine-promotion decision:
+Two measurements back the bit-packed touched-entity state the streaming
+monitor keeps per cached world:
 
-1. **One-shot parity** — BSR detection wall-clock, ``engine="indexed"``
-   (block counter-PRF, now the default) vs ``engine="batched"`` on
-   Table-2-shaped graphs.  The promotion criterion is a gap within
-   noise (≤ a few percent).
-2. **Streaming repair** — a drift-patch stream against
+1. **Streaming repair** — a drift-patch stream against
    :class:`~repro.streaming.monitor.TopKMonitor` with the bit-packed
-   world state vs the dense PR-3 representation, under the same
-   world-state memory budget.  At large ``n`` the dense masks blow the
-   budget, so the dense monitor falls back to crossing-only
-   invalidation and repairs ~|Δp|·samples worlds per patch; the packed
-   state stays within budget and repairs only the worlds that actually
-   drew the patched entity.  Every step is verified ``same_answer``
-   against the other monitor before timing counts.
-3. **World-state memory** — actual bytes of the packed state (masks +
-   inverted index) vs the bytes the dense masks would need for the
-   same worlds.
+   world state vs a monitor that keeps no touched state
+   (``world_state_budget=0``), which invalidates on uniform crossings
+   alone and repairs ~|Δp|·samples worlds per patch; the packed state
+   repairs only the worlds that actually drew the patched entity.
+   Every flush is verified ``same_answer`` against the other monitor
+   before timing counts.
+2. **World-state memory** — actual bytes of the packed state (masks +
+   inverted index) vs the ``samples * (n + m)`` bytes boolean touched
+   masks would need for the same worlds.
 
 Results land in ``BENCH_indexed.json`` at the repo root.
 
@@ -33,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
 from datetime import datetime, timezone
@@ -48,12 +43,9 @@ except ImportError:  # pragma: no cover
 
 import numpy as np
 
-from repro.algorithms.bsr import BoundedSampleReverseDetector
 from repro.core.graph import UncertainGraph
 from repro.datasets.guarantee import guarantee_graph
-from repro.datasets.powerlaw import directed_powerlaw_edges
 from repro.datasets.probabilities import assign_financial
-from repro.sampling.worldstate import DenseWorldState
 from repro.streaming.monitor import TopKMonitor
 from repro.streaming.replay import random_patch_stream
 
@@ -61,18 +53,6 @@ DEFAULT_OUTPUT = _REPO_ROOT / "BENCH_indexed.json"
 
 #: ~3 edges per node matches the sparsity of the paper's Table-2 graphs.
 EDGE_FACTOR = 3
-
-
-def build_powerlaw_graph(n: int, seed: int) -> UncertainGraph:
-    """Power-law topology with guarantee-style Beta(2, 4) edge strengths."""
-    rng = np.random.default_rng(seed)
-    src, dst = directed_powerlaw_edges(n, EDGE_FACTOR * n, seed=rng)
-    return UncertainGraph.from_arrays(
-        self_risks=rng.random(n) * 0.2,
-        edge_src=src,
-        edge_dst=dst,
-        edge_probs=np.clip(rng.beta(2.0, 4.0, src.size), 0.01, 0.95),
-    )
 
 
 def build_guarantee_network(n: int, seed: int) -> UncertainGraph:
@@ -85,46 +65,6 @@ def build_guarantee_network(n: int, seed: int) -> UncertainGraph:
     return graph
 
 
-def bench_one_shot(sizes: list[int], k: int, seed: int, repeats: int) -> list[dict]:
-    """Median BSR detection wall-clock per engine on each size."""
-    rows = []
-    for n in sizes:
-        graph = build_powerlaw_graph(n, seed)
-        timings: dict[str, list[float]] = {"batched": [], "indexed": []}
-        reference = {}
-        for _ in range(repeats):
-            for engine in ("batched", "indexed"):
-                detector = BoundedSampleReverseDetector(
-                    seed=seed, engine=engine
-                )
-                started = time.perf_counter()
-                result = detector.detect(graph, k)
-                timings[engine].append(time.perf_counter() - started)
-                reference[engine] = result
-        batched = statistics.median(timings["batched"])
-        indexed = statistics.median(timings["indexed"])
-        # The deterministic stages must agree exactly across engines.
-        assert (
-            reference["batched"].samples_used
-            == reference["indexed"].samples_used
-        )
-        row = {
-            "nodes": graph.num_nodes,
-            "edges": graph.num_edges,
-            "k": k,
-            "samples": reference["indexed"].samples_used,
-            "batched_seconds": round(batched, 6),
-            "indexed_seconds": round(indexed, 6),
-            "indexed_over_batched": round(indexed / batched, 4),
-        }
-        rows.append(row)
-        print(
-            f"one-shot n={n:>7}  batched={batched:.3f}s  "
-            f"indexed={indexed:.3f}s  ratio={row['indexed_over_batched']:.3f}"
-        )
-    return rows
-
-
 #: Sampling modes that mean "the monitor served the flush from cached
 #: worlds" (repairing/reusing them) rather than rebuilding the candidate
 #: set's sampling state.
@@ -134,67 +74,58 @@ _REPAIR_MODES = frozenset({"repaired", "reused", "skipped"})
 def bench_streaming_repair(
     n: int, k: int, events: int, drift: float, seed: int, flush: int = 10
 ) -> dict:
-    """Drift-patch stream: packed world state vs the dense baseline.
+    """Drift-patch stream: packed world state vs crossing-only repair.
 
     The graph is the paper's deployment workload — a guarantee network
     under the financial probability protocol, whose contagion closures
     touch a few percent of the graph per world, so the touched-entity
     filter discards most uniform crossings.  Updates arrive in
     *flush*-sized batches, the shape the serving layer's coalescing
-    ingestion queue (PR 4) delivers to its monitors.  Both monitors run
-    under the same world-state memory budget, chosen so the dense
-    ``(samples, n+m)`` masks exceed it while the packed state fits —
-    the memory envelope the packed representation exists for.  Every
-    flush's answers are cross-checked before the timing is reported.
+    ingestion queue delivers to its monitors.  The packed monitor runs
+    under a world-state budget of a quarter of the boolean
+    ``(samples, n+m)`` masks' bytes, which its packed state fits; the
+    comparator keeps no touched state at all.  Every flush's answers are
+    cross-checked before the timing is reported.
 
     Flushes are split into two buckets by what the sampling stage did:
 
     * **repair-path** — both monitors served the flush from cached
       worlds (``repaired`` / ``reused``).  This is where the packed
-      touched-entity filter acts, and ``repair_speedup_vs_dense`` —
-      the headline streaming-repair metric — is measured over exactly
-      these flushes.  They dominate the stream (candidate churn is
-      rare).
+      touched-entity filter acts, and
+      ``repair_speedup_vs_crossing_only`` — the headline
+      streaming-repair metric — is measured over exactly these
+      flushes.  They dominate the stream (candidate churn is rare).
     * **churn** — an Algorithm-4 candidate-set / Theorem-5 budget move
       forced a rebuild (``resampled``, or ``columned`` when the packed
-      monitor could absorb it incrementally).  Both engines pay the
+      monitor could absorb it incrementally).  Both monitors pay the
       same exploration here by construction, so these flushes carry no
-      information about the repair representations; they are timed and
-      reported separately (``end_to_end_speedup_vs_dense`` includes
-      them).
+      information about touched-entity filtering; they are timed and
+      reported separately (``end_to_end_speedup_vs_crossing_only``
+      includes them).
     """
     graph_packed = build_guarantee_network(n, seed)
-    graph_dense = build_guarantee_network(n, seed)
-    probe = TopKMonitor(graph_packed, k, seed=seed, world_state="packed")
-    probe.top_k()
+    graph_crossing = build_guarantee_network(n, seed)
+    probe = TopKMonitor(graph_packed, k, seed=seed)
     samples = probe.top_k().samples_used
-    # The envelope: a quarter of what dense masks would need.  Packed
-    # masks (2 * ceil(n/64) words per world) fit well inside it.
-    budget = max(
-        1, DenseWorldState.bytes_needed(samples, n, graph_packed.num_edges) // 4
-    )
+    mask_bytes = samples * (n + graph_packed.num_edges)
+    budget = max(1, mask_bytes // 4)
     monitors = {
         "packed": TopKMonitor(
-            graph_packed, k, seed=seed,
-            world_state="packed", world_state_budget=budget,
+            graph_packed, k, seed=seed, world_state_budget=budget
         ),
-        "dense": TopKMonitor(
-            graph_dense, k, seed=seed,
-            world_state="dense", world_state_budget=budget,
+        "crossing_only": TopKMonitor(
+            graph_crossing, k, seed=seed, world_state_budget=0
         ),
     }
     for monitor in monitors.values():
         monitor.top_k()
     packed_bytes = monitors["packed"].world_state_nbytes
-    dense_equivalent = DenseWorldState.bytes_needed(
-        samples, n, graph_packed.num_edges
-    )
     elapsed = {
-        "repair": {"packed": 0.0, "dense": 0.0},
-        "churn": {"packed": 0.0, "dense": 0.0},
+        "repair": {name: 0.0 for name in monitors},
+        "churn": {name: 0.0 for name in monitors},
     }
     counts = {"repair": 0, "churn": 0}
-    repaired = {"packed": 0, "dense": 0}
+    repaired = {name: 0 for name in monitors}
     mismatches = 0
     events_list = list(
         random_patch_stream(graph_packed, events, seed=seed + 1, drift=drift)
@@ -219,22 +150,22 @@ def bench_streaming_repair(
         counts[kind] += 1
         for name, seconds in flush_elapsed.items():
             elapsed[kind][name] += seconds
-        if not results["packed"].same_answer(results["dense"]):
+        if not results["packed"].same_answer(results["crossing_only"]):
             mismatches += 1
     if mismatches:
         raise AssertionError(
             f"{mismatches} flushes saw packed answers diverge from the "
-            "dense baseline — the speedup would be meaningless"
+            "crossing-only monitor — the speedup would be meaningless"
         )
-    repair_speedup = elapsed["repair"]["dense"] / max(
+    repair_speedup = elapsed["repair"]["crossing_only"] / max(
         elapsed["repair"]["packed"], 1e-12
     )
     total = {
         name: elapsed["repair"][name] + elapsed["churn"][name]
-        for name in ("packed", "dense")
+        for name in monitors
     }
-    end_to_end = total["dense"] / max(total["packed"], 1e-12)
-    memory_reduction = dense_equivalent / max(packed_bytes, 1)
+    end_to_end = total["crossing_only"] / max(total["packed"], 1e-12)
+    memory_reduction = mask_bytes / max(packed_bytes, 1)
     row = {
         "nodes": n,
         "edges": graph_packed.num_edges,
@@ -247,24 +178,26 @@ def bench_streaming_repair(
         "samples": samples,
         "world_state_budget": budget,
         "repair_packed_seconds": round(elapsed["repair"]["packed"], 6),
-        "repair_dense_seconds": round(elapsed["repair"]["dense"], 6),
-        "repair_speedup_vs_dense": round(repair_speedup, 2),
+        "repair_crossing_only_seconds": round(
+            elapsed["repair"]["crossing_only"], 6
+        ),
+        "repair_speedup_vs_crossing_only": round(repair_speedup, 2),
         "total_packed_seconds": round(total["packed"], 6),
-        "total_dense_seconds": round(total["dense"], 6),
-        "end_to_end_speedup_vs_dense": round(end_to_end, 2),
+        "total_crossing_only_seconds": round(total["crossing_only"], 6),
+        "end_to_end_speedup_vs_crossing_only": round(end_to_end, 2),
         "worlds_repaired_packed": repaired["packed"],
-        "worlds_repaired_dense": repaired["dense"],
+        "worlds_repaired_crossing_only": repaired["crossing_only"],
         "packed_state_bytes": packed_bytes,
-        "dense_state_bytes_needed": dense_equivalent,
+        "boolean_mask_bytes": mask_bytes,
         "memory_reduction": round(memory_reduction, 2),
     }
     print(
         f"streaming n={n:>7} seed={seed}  repair "
-        f"{elapsed['repair']['dense']:.3f}s -> "
+        f"{elapsed['repair']['crossing_only']:.3f}s -> "
         f"{elapsed['repair']['packed']:.3f}s ({repair_speedup:.1f}x, "
         f"{counts['repair']}/{counts['repair'] + counts['churn']} flushes)  "
         f"end-to-end {end_to_end:.1f}x  "
-        f"memory {dense_equivalent / 1e6:.1f}MB -> "
+        f"memory {mask_bytes / 1e6:.1f}MB -> "
         f"{packed_bytes / 1e6:.2f}MB ({memory_reduction:.1f}x)"
     )
     return row
@@ -272,51 +205,45 @@ def bench_streaming_repair(
 
 def run(args: argparse.Namespace) -> dict:
     if args.quick:
-        one_shot_sizes = [2000]
-        stream_n, stream_events, repeats = 5000, 80, 3
+        stream_n, stream_events = 5000, 80
         stream_seeds = [args.seed]
         mode = "quick"
     else:
-        one_shot_sizes = [5000, 20000, 60000]
-        stream_n, stream_events, repeats = 50_000, 240, 9
+        stream_n, stream_events = 50_000, 240
         stream_seeds = [args.seed, args.seed + 4, args.seed + 10]
         mode = "full"
-    if args.sizes:
-        one_shot_sizes = args.sizes
     if args.stream_nodes:
         stream_n = args.stream_nodes
     if args.events:
         stream_events = args.events
-    one_shot = bench_one_shot(one_shot_sizes, args.k, args.seed, repeats)
     streaming = [
         bench_streaming_repair(
             stream_n, args.k, stream_events, args.drift, stream_seed
         )
         for stream_seed in stream_seeds
     ]
+    def ratio(numerator: str, denominator: str, floor: float) -> float:
+        return round(
+            sum(row[numerator] for row in streaming)
+            / max(sum(row[denominator] for row in streaming), floor),
+            2,
+        )
+
     aggregate = {
-        "repair_speedup_vs_dense": round(
-            sum(row["repair_dense_seconds"] for row in streaming)
-            / max(
-                sum(row["repair_packed_seconds"] for row in streaming), 1e-12
-            ),
-            2,
+        "repair_speedup_vs_crossing_only": ratio(
+            "repair_crossing_only_seconds", "repair_packed_seconds", 1e-12
         ),
-        "end_to_end_speedup_vs_dense": round(
-            sum(row["total_dense_seconds"] for row in streaming)
-            / max(sum(row["total_packed_seconds"] for row in streaming), 1e-12),
-            2,
+        "end_to_end_speedup_vs_crossing_only": ratio(
+            "total_crossing_only_seconds", "total_packed_seconds", 1e-12
         ),
-        "memory_reduction": round(
-            sum(row["dense_state_bytes_needed"] for row in streaming)
-            / max(sum(row["packed_state_bytes"] for row in streaming), 1),
-            2,
+        "memory_reduction": ratio(
+            "boolean_mask_bytes", "packed_state_bytes", 1
         ),
     }
     print(
         f"aggregate over {len(streaming)} streams: "
-        f"repair {aggregate['repair_speedup_vs_dense']}x, "
-        f"end-to-end {aggregate['end_to_end_speedup_vs_dense']}x, "
+        f"repair {aggregate['repair_speedup_vs_crossing_only']}x, "
+        f"end-to-end {aggregate['end_to_end_speedup_vs_crossing_only']}x, "
         f"memory {aggregate['memory_reduction']}x"
     )
     report = {
@@ -325,7 +252,6 @@ def run(args: argparse.Namespace) -> dict:
         "mode": mode,
         "seed": args.seed,
         "edge_factor": EDGE_FACTOR,
-        "one_shot": one_shot,
         "streaming_repair": streaming,
         "streaming_aggregate": aggregate,
     }
@@ -340,10 +266,6 @@ def main(argv: list[str] | None = None) -> int:
         "--quick",
         action="store_true",
         help="small graphs / few events so CI can smoke-test in seconds",
-    )
-    parser.add_argument(
-        "--sizes", type=int, nargs="+", default=None,
-        help="one-shot node counts to sweep",
     )
     parser.add_argument(
         "--stream-nodes", type=int, default=None,

@@ -120,7 +120,7 @@ def run(
     )
     total_events = tenants * rounds * events_per_round
     scratch = Path(tempfile.mkdtemp(prefix="bench-replication-"))
-    monitor_defaults = {"seed": seed, "engine": "indexed"}
+    monitor_defaults = {"seed": seed}
     promoted = None
     recovered = None
     try:

@@ -116,7 +116,7 @@ def bench_serving(
         graph,
         mode=mode,
         shards=shards,
-        monitor_defaults={"seed": seed, "engine": "indexed"},
+        monitor_defaults={"seed": seed},
     )
     for tenant in range(tenants):
         service.register_tenant(tenant, k)

@@ -70,7 +70,7 @@ def bench_one_size(
 ) -> dict:
     """Replay one patch stream; returns the timing/telemetry row."""
     graph = build_powerlaw_graph(n, seed)
-    monitor = TopKMonitor(graph, k, seed=seed, engine="indexed")
+    monitor = TopKMonitor(graph, k, seed=seed)
     started = time.perf_counter()
     monitor.top_k()  # initial build — a fresh detection, timed separately
     initial_seconds = time.perf_counter() - started

@@ -36,7 +36,8 @@ class SampleReverseDetector(VulnerableNodeDetector):
         Randomness control.
     engine:
         Reverse-sampling engine: ``"indexed"`` (counter-PRF worlds —
-        the default), ``"batched"`` or ``"reference"``.
+        the default) or ``"reference"`` (the per-candidate Algorithm-5
+        BFS).
     """
 
     name = "SR"

@@ -7,13 +7,12 @@ from repro.sampling.estimators import (
 )
 from repro.sampling.forward import ForwardEstimate, ForwardSampler, forward_sample_reference
 from repro.sampling.indexed import (
+    ExploredWorlds,
     IndexedReverseSampler,
-    WorldBlock,
     derive_stream_key,
     hashed_uniforms,
 )
 from repro.sampling.reverse import (
-    BatchedReverseSampler,
     ReverseSampler,
     ReverseWorld,
     WorldArena,
@@ -35,9 +34,8 @@ __all__ = [
     "ForwardEstimate",
     "ForwardSampler",
     "forward_sample_reference",
-    "BatchedReverseSampler",
+    "ExploredWorlds",
     "IndexedReverseSampler",
-    "WorldBlock",
     "derive_stream_key",
     "hashed_uniforms",
     "ReverseSampler",

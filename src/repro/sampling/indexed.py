@@ -1,19 +1,13 @@
-"""Counter-based reverse sampling — the streaming-friendly third engine.
+"""Counter-based reverse sampling — the production engine.
 
-The batched engine (:class:`~repro.sampling.reverse.BatchedReverseSampler`)
-draws its uniforms from one *sequential* stream, so the random choice made
-for an entity depends on every draw that preceded it.  That is fine for a
-one-shot detection, but it couples all worlds together: change one edge
-probability and the whole stream downstream of its first draw shifts, so
-nothing short of a full re-run reproduces what a fresh detection would
-return.
-
-This module replaces the stream with a **counter-based PRF**: the uniform
-for node ``v`` (edge ``e``) in world ``w`` is a pure hash of
+The uniform for node ``v`` (edge ``e``) in world ``w`` is a pure hash of
 ``(stream key, w, entity)`` — the SplitMix64 output function evaluated at
 a per-entity counter (:func:`repro.sampling.rng.hashed_uniforms`, which
 mixes whole counter blocks in place, one numpy dispatch per hash stage).
-Consequences:
+A sequential random stream would couple all worlds together: change one
+edge probability and every draw downstream of it shifts, so nothing short
+of a full re-run reproduces what a fresh detection would return.  With a
+counter PRF instead:
 
 * every world's outcome is a pure function of ``(seed, w, graph)`` —
   worlds can be evaluated in any order, in any batch size, and
@@ -23,6 +17,12 @@ Consequences:
   so the *expected fraction of invalidated worlds equals |p' - p|* — the
   property the streaming :class:`~repro.streaming.monitor.TopKMonitor`
   builds its incremental re-estimation on;
+* each world owns a fixed lane of ``2^33`` counters — node ``v`` at
+  ``w * 2^33 + v``, edge ``e`` at ``w * 2^33 + 2^32 + e`` — so
+  append-only topology growth never moves an existing ``(world,
+  entity)`` counter and cached realisations stay valid verbatim, which
+  is what makes incremental topology ingestion bit-identical to fresh
+  detection on the grown graph;
 * the engine needs no memo tables at all: re-hashing an entity is as
   cheap as memoising it, and two directions/passes agree by construction;
 * every world also carries a fixed *sample hash*
@@ -30,13 +30,14 @@ Consequences:
   BSRBK's ascending-hash processing order is a pure function of the
   world index — the bottom-k early stop decouples from the stream.
 
-The exploration itself is the same two-pass structure as the batched
-engine — a flat multi-world backward closure followed by forward
-labelling through :func:`repro.core.propagation.propagate_edge_list` —
-and it reports ``nodes_touched`` / ``edges_touched`` in the same unit
-(distinct per-world entity draws).  Under entity-indexed uniforms the
-per-world outcomes equal the reference :class:`ReverseWorld` fed the same
-uniform arrays (see ``tests/test_streaming.py``).
+Exploration is two passes per batch of worlds — a flat multi-world
+backward closure followed by forward labelling through
+:func:`repro.core.propagation.propagate_edge_list` — and it reports
+``nodes_touched`` / ``edges_touched`` in the unit the reference
+:class:`~repro.sampling.reverse.ReverseSampler` uses (distinct per-world
+entity draws).  Under entity-indexed uniforms the per-world outcomes
+equal the reference :class:`~repro.sampling.reverse.ReverseWorld` fed
+the same uniform arrays (see ``tests/test_streaming.py``).
 
 Two work-count identities the compressed world state
 (:mod:`repro.sampling.worldstate`) relies on, both direct consequences
@@ -72,11 +73,10 @@ from repro.sampling.rng import (
 __all__ = [
     "hashed_uniforms",
     "derive_stream_key",
-    "WorldBlock",
+    "ExploredWorlds",
     "IndexedReverseSampler",
-    "STABLE_EDGE_BASE",
-    "STABLE_STRIDE",
-    "COUNTER_LAYOUTS",
+    "EDGE_COUNTER_BASE",
+    "COUNTER_STRIDE",
 ]
 
 _U64 = np.uint64
@@ -85,32 +85,20 @@ _TWO_53 = 2.0**53
 #: BSRBK's processing order never correlates with world contents.
 _HASH_SALT = _U64(0xD1B54A32D192ED03)
 
-#: Counter layouts.  ``"packed"`` (the default) packs each world's
-#: counters contiguously — node ``v`` of world ``w`` at ``w*(n+m) + v``,
-#: edge ``e`` at ``w*(n+m) + n + e`` — which is the historical layout
-#: every pinned result was produced under.  Its stride depends on the
-#: graph's size, so *growing* the graph re-keys every counter.
-#: ``"stable"`` reserves fixed-width lanes instead: node ``v`` at
-#: ``w * 2^33 + v``, edge ``e`` at ``w * 2^33 + 2^32 + e``.  Topology
-#: growth then never moves an existing ``(world, entity)`` counter —
-#: cached realisations stay valid verbatim, which is what makes
-#: incremental topology ingestion bit-identical to fresh detection on
-#: the grown graph.  Capacity bounds: ``n <= 2^32``, ``m <= 2^32``,
-#: world index ``< 2^31`` (so ``w * stride`` fits in 64 bits).
-COUNTER_LAYOUTS = ("packed", "stable")
+#: First edge counter within a world's counter lane.  Capacity bounds:
+#: ``n <= 2^32``, ``m <= 2^32``, world index ``< 2^31`` (so
+#: ``w * COUNTER_STRIDE`` fits in 64 bits).
+EDGE_COUNTER_BASE = _U64(2**32)
 
-#: First edge counter within a world's lane under the stable layout.
-STABLE_EDGE_BASE = _U64(2**32)
+#: Counters reserved per world.
+COUNTER_STRIDE = _U64(2**33)
 
-#: Counters reserved per world under the stable layout.
-STABLE_STRIDE = _U64(2**33)
-
-#: Largest world index addressable under the stable layout.
-_STABLE_MAX_WORLD = 2**31
+#: Largest addressable world index.
+_MAX_WORLD = 2**31
 
 
 @dataclass(frozen=True)
-class WorldBlock:
+class ExploredWorlds:
     """Outcomes of one explicitly-indexed block of possible worlds.
 
     Attributes
@@ -120,15 +108,14 @@ class WorldBlock:
         candidate default in world ``world_indices[i]``".
     node_draws, edge_draws:
         Per-world counts of distinct node / edge draws (the work unit
-        shared with the other reverse engines).
-    touched_nodes, touched_edges, expanded_nodes:
-        Present when requested: boolean ``(W, n)`` / ``(W, m)`` masks of
-        the entities each world actually drew.  An entity outside a
-        world's mask cannot influence that world's outcome — the
-        invalidation test the streaming monitor relies on.
-        ``expanded_nodes`` (``collect="compact"``) marks the touched
-        nodes that did not self-default; edge ``e`` was drawn iff its
-        head is expanded, so the compact mode carries the full edge-mask
+        shared with the reference engine).
+    touched_nodes, expanded_nodes:
+        Present when requested: boolean ``(W, n)`` masks of the nodes
+        each world drew, and of the touched nodes that did not
+        self-default.  An entity outside a world's masks cannot
+        influence that world's outcome — the invalidation test the
+        streaming monitor relies on.  Edge ``e`` was drawn iff its head
+        is expanded, so the two masks carry the full edge-mask
         information in ``n`` bits instead of ``m``.
     """
 
@@ -136,22 +123,7 @@ class WorldBlock:
     node_draws: np.ndarray
     edge_draws: np.ndarray
     touched_nodes: np.ndarray | None = None
-    touched_edges: np.ndarray | None = None
     expanded_nodes: np.ndarray | None = None
-
-
-def _coerce_collect(collect_touched: bool | str | None) -> str | None:
-    """Normalise the ``collect_touched`` argument to a mode name."""
-    if collect_touched is None or collect_touched is False:
-        return None
-    if collect_touched is True or collect_touched == "dense":
-        return "dense"
-    if collect_touched == "compact":
-        return "compact"
-    raise SamplingError(
-        "collect_touched must be False, True/'dense' or 'compact', "
-        f"got {collect_touched!r}"
-    )
 
 
 class IndexedReverseSampler:
@@ -171,13 +143,7 @@ class IndexedReverseSampler:
         is folded into a 64-bit stream key (:func:`derive_stream_key`).
     world_batch:
         Worlds explored per flat batch (memory/speed trade-off only —
-        outcomes are independent of it, unlike the batched engine whose
-        stream consumption depends on batching).
-    counter_layout:
-        ``"packed"`` (default) or ``"stable"`` — see
-        :data:`COUNTER_LAYOUTS`.  Layouts draw *different* uniforms for
-        the same entity, so results are reproducible within a layout
-        but not across layouts.
+        outcomes are independent of it).
     """
 
     __slots__ = (
@@ -188,7 +154,6 @@ class IndexedReverseSampler:
         "_hash_key",
         "_in_csr",
         "_n",
-        "_layout",
         "_world_batch",
         "_cursor",
         "nodes_touched",
@@ -202,7 +167,6 @@ class IndexedReverseSampler:
         seed: SeedLike = None,
         *,
         world_batch: int | None = None,
-        counter_layout: str = "packed",
     ) -> None:
         self._graph = graph
         self._candidates = _validate_candidates(graph, candidates)
@@ -214,18 +178,10 @@ class IndexedReverseSampler:
         self._in_csr = graph.in_csr()
         n = graph.num_nodes
         self._n = n
-        if counter_layout not in COUNTER_LAYOUTS:
+        if max(n, graph.num_edges) > int(EDGE_COUNTER_BASE):
             raise SamplingError(
-                f"counter_layout must be one of {COUNTER_LAYOUTS}, "
-                f"got {counter_layout!r}"
+                "the counter layout supports at most 2^32 nodes and edges"
             )
-        if counter_layout == "stable" and (
-            n > int(STABLE_EDGE_BASE) or graph.num_edges > int(STABLE_EDGE_BASE)
-        ):
-            raise SamplingError(
-                "stable counter layout supports at most 2^32 nodes and edges"
-            )
-        self._layout = counter_layout
         if world_batch is None:
             world_batch = max(1, min(32, 2_000_000 // max(n, 1)))
         if world_batch <= 0:
@@ -252,37 +208,16 @@ class IndexedReverseSampler:
         """The 64-bit PRF key all of this sampler's uniforms hash from."""
         return self._key
 
-    @property
-    def counter_layout(self) -> str:
-        """The counter layout this sampler hashes under."""
-        return self._layout
-
-    @property
-    def counter_stride(self) -> np.uint64:
-        """Counters per world: node ``v`` of world ``w`` sits at
-        ``w * stride + v``, edge ``e`` at
-        ``w * stride + edge_counter_offset + e``."""
-        if self._layout == "stable":
-            return STABLE_STRIDE
-        return _U64(self._n + self._graph.num_edges)
-
-    @property
-    def edge_counter_offset(self) -> np.uint64:
-        """Offset of edge 0's counter within one world's counter lane."""
-        if self._layout == "stable":
-            return STABLE_EDGE_BASE
-        return _U64(self._n)
-
     def node_uniforms(self, world: int, nodes: np.ndarray) -> np.ndarray:
         """The fixed self-default uniforms of *nodes* in one world."""
-        base = _U64(int(world)) * self.counter_stride
+        base = _U64(int(world)) * COUNTER_STRIDE
         return hashed_uniforms(
             self._key, base + np.asarray(nodes).astype(_U64)
         )
 
     def edge_uniforms(self, world: int, edges: np.ndarray) -> np.ndarray:
         """The fixed survival uniforms of edge ids *edges* in one world."""
-        base = _U64(int(world)) * self.counter_stride + self.edge_counter_offset
+        base = _U64(int(world)) * COUNTER_STRIDE + EDGE_COUNTER_BASE
         return hashed_uniforms(
             self._key, base + np.asarray(edges).astype(_U64)
         )
@@ -304,11 +239,10 @@ class IndexedReverseSampler:
         )
 
     def _explore(
-        self, world_indices: np.ndarray, collect: str | None
-    ) -> WorldBlock:
+        self, world_indices: np.ndarray, collect: bool
+    ) -> ExploredWorlds:
         """Backward closure + forward labelling for the given worlds."""
         n = self._n
-        m = self._graph.num_edges
         key = self._key
         csr = self._in_csr
         indptr, indices, probs = csr.indptr, csr.indices, csr.probs
@@ -326,13 +260,10 @@ class IndexedReverseSampler:
         worlds = world_indices.size
         closure = np.zeros(worlds * n, dtype=bool)
         defaulted = np.zeros(worlds * n, dtype=bool)
-        touched_nodes = touched_edges = expanded_nodes = None
-        if collect is not None:
+        touched_nodes = expanded_nodes = None
+        if collect:
             touched_nodes = np.zeros(worlds * n, dtype=bool)
-            if collect == "dense":
-                touched_edges = np.zeros(worlds * m, dtype=bool)
-            else:
-                expanded_nodes = np.zeros(worlds * n, dtype=bool)
+            expanded_nodes = np.zeros(worlds * n, dtype=bool)
         node_draw_counts = np.zeros(worlds, dtype=np.int64)
         edge_draw_counts = np.zeros(worlds, dtype=np.float64)
         offsets = np.arange(worlds, dtype=np.int64) * n
@@ -343,14 +274,14 @@ class IndexedReverseSampler:
         # ``flat + (world_base[w_local] - w_local*n)``; precomputing the
         # per-world surplus folds the whole counter computation into one
         # gather + one add per frontier.  ``edge_base`` plays the same
-        # role for edge counters (``world_base + n``, indexed by edge id).
-        if self._layout == "stable" and int(world_indices.max()) >= _STABLE_MAX_WORLD:
+        # role for edge counters (indexed by edge id).
+        if int(world_indices.max()) >= _MAX_WORLD:
             raise SamplingError(
-                "stable counter layout addresses world indices below 2^31"
+                "the counter layout addresses world indices below 2^31"
             )
-        world_base = world_indices.astype(_U64) * self.counter_stride
+        world_base = world_indices.astype(_U64) * COUNTER_STRIDE
         node_extra = world_base - offsets.astype(_U64)
-        edge_base = world_base + self.edge_counter_offset
+        edge_base = world_base + EDGE_COUNTER_BASE
         seed_parts: list[np.ndarray] = []
         src_parts: list[np.ndarray] = []
         dst_parts: list[np.ndarray] = []
@@ -382,8 +313,6 @@ class IndexedReverseSampler:
             edge_counters = edge_ids.astype(_U64)
             edge_counters += edge_base[rep_world]
             edge_draws = _hashed_lattice(key, edge_counters)
-            if touched_edges is not None:
-                touched_edges[rep_world * m + edge_ids] = True
             survived = edge_draws <= edge_thresholds[pos]
             edge_draw_counts += np.bincount(
                 expand_world, weights=counts, minlength=worlds
@@ -409,33 +338,24 @@ class IndexedReverseSampler:
                     True,
                 )
         keys = offsets[:, None] + self._candidates[None, :]
-        return WorldBlock(
+        return ExploredWorlds(
             outcomes=defaulted[keys],
             node_draws=node_draw_counts,
             edge_draws=edge_draw_counts.astype(np.int64),
             touched_nodes=(
-                touched_nodes.reshape(worlds, n)
-                if touched_nodes is not None
-                else None
-            ),
-            touched_edges=(
-                touched_edges.reshape(worlds, m)
-                if touched_edges is not None
-                else None
+                touched_nodes.reshape(worlds, n) if collect else None
             ),
             expanded_nodes=(
-                expanded_nodes.reshape(worlds, n)
-                if expanded_nodes is not None
-                else None
+                expanded_nodes.reshape(worlds, n) if collect else None
             ),
         )
 
     def iter_world_blocks(
         self,
         world_indices: Sequence[int] | np.ndarray,
-        collect_touched: bool | str = False,
-    ) -> Iterator[tuple[np.ndarray, WorldBlock]]:
-        """Yield ``(positions, WorldBlock)`` per internal batch.
+        collect_touched: bool = False,
+    ) -> Iterator[tuple[np.ndarray, ExploredWorlds]]:
+        """Yield ``(positions, ExploredWorlds)`` per internal batch.
 
         ``positions`` indexes into *world_indices* for each yielded
         block, so consumers can stream arbitrarily many worlds without
@@ -443,7 +363,6 @@ class IndexedReverseSampler:
         the compressed world state is built through.  Does not advance
         the sequential cursor or the work counters.
         """
-        collect = _coerce_collect(collect_touched)
         world_indices = np.asarray(world_indices, dtype=np.int64)
         if world_indices.ndim != 1 or world_indices.size == 0:
             raise SamplingError("world_indices must be a non-empty 1-d array")
@@ -453,14 +372,16 @@ class IndexedReverseSampler:
             stop = min(start + self._world_batch, world_indices.size)
             yield (
                 np.arange(start, stop, dtype=np.int64),
-                self._explore(world_indices[start:stop], collect),
+                self._explore(
+                    world_indices[start:stop], bool(collect_touched)
+                ),
             )
 
     def outcomes_for_worlds(
         self,
         world_indices: Sequence[int] | np.ndarray,
-        collect_touched: bool | str = False,
-    ) -> WorldBlock:
+        collect_touched: bool = False,
+    ) -> ExploredWorlds:
         """Evaluate exactly the given world indices (batched internally).
 
         Does not advance the sequential cursor or the work counters —
@@ -482,12 +403,11 @@ class IndexedReverseSampler:
                 return None
             return np.concatenate(parts)
 
-        return WorldBlock(
+        return ExploredWorlds(
             outcomes=np.concatenate([b.outcomes for b in blocks]),
             node_draws=np.concatenate([b.node_draws for b in blocks]),
             edge_draws=np.concatenate([b.edge_draws for b in blocks]),
             touched_nodes=_cat("touched_nodes"),
-            touched_edges=_cat("touched_edges"),
             expanded_nodes=_cat("expanded_nodes"),
         )
 
@@ -495,8 +415,8 @@ class IndexedReverseSampler:
         """Yield per-world candidate default vectors for the next worlds.
 
         Consumes world indices sequentially from the cursor; work
-        counters are attributed per consumed world, as in the other
-        engines.
+        counters are attributed per consumed world, as in the reference
+        engine.
         """
         if samples <= 0:
             raise SamplingError(f"samples must be positive, got {samples}")
@@ -505,7 +425,7 @@ class IndexedReverseSampler:
         for lo in range(start, start + int(samples), self._world_batch):
             hi = min(lo + self._world_batch, start + int(samples))
             block = self._explore(
-                np.arange(lo, hi, dtype=np.int64), collect=None
+                np.arange(lo, hi, dtype=np.int64), collect=False
             )
             for index in range(hi - lo):
                 self.nodes_touched += int(block.node_draws[index])
@@ -522,7 +442,7 @@ class IndexedReverseSampler:
         for lo in range(start, start + int(samples), self._world_batch):
             hi = min(lo + self._world_batch, start + int(samples))
             block = self._explore(
-                np.arange(lo, hi, dtype=np.int64), collect=None
+                np.arange(lo, hi, dtype=np.int64), collect=False
             )
             counts += block.outcomes.sum(axis=0)
             self.nodes_touched += int(block.node_draws.sum())

@@ -264,7 +264,7 @@ class ServingPool:
         docstring.  Default: :func:`default_mode`.
     monitor_defaults:
         Keyword defaults applied to every tenant's
-        :class:`~repro.streaming.monitor.TopKMonitor` (seed, engine,
+        :class:`~repro.streaming.monitor.TopKMonitor` (seed,
         epsilon, …); per-tenant kwargs override.
     """
 

@@ -22,28 +22,19 @@ The pipeline has three stages, each invalidated independently:
    lower bound), so the cached reduction is reused verbatim unless some
    refreshed bound value crosses ``Tl``; crossing triggers one cheap
    O(n) re-run.
-3. **Sampling** — depends on the engine:
-
-   * ``engine="indexed"`` (default): per-world outcomes are pure
-     functions of ``(seed, world, graph)``
-     (:class:`~repro.sampling.indexed.IndexedReverseSampler`), so the
-     monitor stores the per-world outcome matrix plus per-world
-     touched-entity state (:mod:`repro.sampling.worldstate` —
-     bit-packed by default, the dense PR-3 layout via
-     ``world_state="dense"``).  A patched entity invalidates exactly
-     the worlds where its fixed uniform crosses the old→new
-     probability (expected fraction ``|Δp|``) *and* the entity was
-     actually drawn; only those worlds are re-explored and spliced
-     back in.  When Algorithm 4's candidate set or Theorem 5's budget
-     move, added candidates are *columned in* (their closures explored
-     against the cached worlds and OR-ed into the touched state, with
-     draw counters advanced by the exact popcount deltas) and the world
-     prefix grown or truncated, instead of resampling everything.
-   * ``engine="batched"`` / ``"reference"``: the sequential random
-     stream couples all worlds, so sampling is reused only when no
-     changed entity lies in the candidates' ancestor closure (outside
-     it, a fresh run provably replays bit-identically) and is otherwise
-     re-run whole.
+3. **Sampling** — per-world outcomes are pure functions of ``(seed,
+   world, graph)`` (:class:`~repro.sampling.indexed.IndexedReverseSampler`),
+   so the monitor stores the per-world outcome matrix plus bit-packed
+   per-world touched-entity state
+   (:class:`~repro.sampling.worldstate.PackedWorldState`).  A patched
+   entity invalidates exactly the worlds where its fixed uniform crosses
+   the old→new probability (expected fraction ``|Δp|``) *and* the
+   entity was actually drawn; only those worlds are re-explored and
+   spliced back in.  When Algorithm 4's candidate set or Theorem 5's
+   budget move, added candidates are *columned in* (their closures
+   explored against the cached worlds and OR-ed into the touched state,
+   with draw counters advanced by the exact popcount deltas) and the
+   world prefix grown or truncated, instead of resampling everything.
 
    With ``algorithm="bsrbk"`` the sampling stage runs BSRBK's bottom-k
    early stop instead of the full-budget estimate: worlds carry fixed
@@ -51,8 +42,7 @@ The pipeline has three stages, each invalidated independently:
    stopping rule is re-run as a pure scan over the cached prefix
    (:func:`~repro.sketch.bottom_k.bottom_k_scan`) after every repair —
    extending the evaluated prefix on demand when a repair pushes the
-   stopping point later.  Requires the indexed engine (the stream-based
-   engines cannot re-materialise an early-stopped run incrementally).
+   stopping point later.
 
 When the dirty region exceeds ``full_rebuild_fraction`` of the graph —
 e.g. a bulk monthly re-scoring that moves everything — the monitor falls
@@ -62,14 +52,10 @@ routes).
 
 **Topology growth.**  ``NodeAdd`` / ``EdgeAdd`` events (or the
 :meth:`TopKMonitor.add_node` / :meth:`TopKMonitor.add_edge` intake)
-grow the graph append-only.  Under the default ``counter_layout=
-"packed"`` the counter PRF's stride is ``n + m``, so growth re-keys
-every ``(world, entity)`` uniform and the monitor falls back to a full
-recomputation — exact, but O(everything).  With ``counter_layout=
-"stable"`` (requires ``engine="indexed"``) each world owns a fixed
-2^33-counter lane (nodes at ``w·2^33 + v``, edges at ``w·2^33 + 2^32 +
-e``), so growth never moves an existing counter and the monitor ingests
-topology *incrementally*:
+grow the graph append-only.  Each world owns a fixed 2^33-counter lane
+(nodes at ``w·2^33 + v``, edges at ``w·2^33 + 2^32 + e``), so growth
+never moves an existing counter and the monitor ingests topology
+*incrementally*:
 
 * cached world masks are extended by zero bits for the new entities
   (a cached closure can only reach a new entity through a new edge);
@@ -82,11 +68,10 @@ topology *incrementally*:
 * everything else (candidate columning, world-prefix resizing, BSRBK's
   hash-order rescan) reuses the probability-path machinery.
 
-The result is bit-identical to fresh detection on the grown graph with
-the same stable layout — the crawl-while-monitoring oracle tests pin
-this after every crawl step.  Direct mutations of the live graph that
-bypass the monitor's intake are still caught by shape and handled by
-the full fallback.
+The result is bit-identical to fresh detection on the grown graph — the
+crawl-while-monitoring oracle tests pin this after every crawl step.
+Direct mutations of the live graph that bypass the monitor's intake are
+still caught by shape and handled by the full fallback.
 """
 
 from __future__ import annotations
@@ -108,17 +93,15 @@ from repro.bounds.iterative import (
 )
 from repro.core.errors import GraphError, SamplingError
 from repro.core.graph import NodeLabel, UncertainGraph
-from repro.core.propagation import ragged_positions
 from repro.core.topk import validate_k
-from repro.sampling.indexed import COUNTER_LAYOUTS, IndexedReverseSampler
-from repro.sampling.reverse import reverse_engine
+from repro.sampling.indexed import (
+    COUNTER_STRIDE,
+    EDGE_COUNTER_BASE,
+    IndexedReverseSampler,
+)
 from repro.sampling.rng import SeedLike, hashed_uniform_tile, hashed_uniforms
 from repro.sampling.sample_size import reduced_sample_size, validate_epsilon_delta
-from repro.sampling.worldstate import (
-    DenseWorldState,
-    PackedWorldState,
-    WorldView,
-)
+from repro.sampling.worldstate import PackedWorldState, WorldView
 from repro.sketch.bottom_k import bottom_k_scan
 from repro.streaming.events import (
     BulkEdgeProbabilityUpdate,
@@ -136,31 +119,12 @@ __all__ = ["RefreshReport", "TopKMonitor"]
 _U64 = np.uint64
 #: Cells hashed per chunk when crossing-testing without touched state.
 _TILE_CHUNK = 1 << 22
-
-
-def ancestor_closure(graph: UncertainGraph, sources: np.ndarray) -> np.ndarray:
-    """Boolean mask of all nodes backward-reachable from *sources*.
-
-    Probability-agnostic (every in-edge counts): this is the superset of
-    nodes any reverse-sampling run over these candidates can ever draw,
-    and an edge can be drawn only if its head is in the mask.  Entities
-    outside are provably irrelevant to the sampling stage.
-    """
-    in_csr = graph.in_csr()
-    mask = np.zeros(graph.num_nodes, dtype=bool)
-    mask[sources] = True
-    frontier = np.unique(np.asarray(sources, dtype=np.int64))
-    while frontier.size:
-        positions, _ = ragged_positions(in_csr.indptr, frontier)
-        if not positions.size:
-            break
-        neighbors = in_csr.indices[positions]
-        fresh = np.unique(neighbors[~mask[neighbors]])
-        if not fresh.size:
-            break
-        mask[fresh] = True
-        frontier = fresh
-    return mask
+#: Format stamp of a pickled monitor.  Cached worlds are valid only under
+#: the counter layout that drew them, so blobs without this stamp —
+#: written before the single counter layout, whatever layout or engine
+#: they used — are refused on restore instead of being repaired under
+#: different counters and drifting from fresh detection.
+_BLOB_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -182,7 +146,7 @@ class RefreshReport:
         Whether the cached Algorithm-4 reduction survived untouched.
     sampling:
         ``"reused"`` (cached estimates provably fresh), ``"repaired"``
-        (indexed engine re-ran only invalidated worlds), ``"columned"``
+        (only the invalidated worlds were re-explored), ``"columned"``
         (candidate/budget change absorbed by columning added candidates
         into the cached worlds and/or resizing the world prefix),
         ``"resampled"`` (whole candidate set re-estimated) or
@@ -227,42 +191,20 @@ class TopKMonitor:
         for the bit-identity guarantee to be observable.
     algorithm:
         ``"bsr"`` (default) maintains the full-budget BSR estimate;
-        ``"bsrbk"`` maintains BSRBK's bottom-k early-stopped estimate
-        (requires ``engine="indexed"``), with *bk* as the counter
-        threshold.  The equivalence oracle is then a fresh
-        :class:`~repro.algorithms.bsrbk.BottomKDetector`.
+        ``"bsrbk"`` maintains BSRBK's bottom-k early-stopped estimate,
+        with *bk* as the counter threshold.  The equivalence oracle is
+        then a fresh :class:`~repro.algorithms.bsrbk.BottomKDetector`.
     bk:
         Bottom-k counter threshold when ``algorithm="bsrbk"``.
-    engine:
-        Reverse-sampling engine: ``"indexed"`` (default — enables
-        per-world repair), ``"batched"`` or ``"reference"`` (coarse
-        ancestor-closure invalidation, whole-set resampling).
     full_rebuild_fraction:
         Dirty-region threshold (fraction of ``n``) above which refresh
         falls back to full recomputation.
-    world_state:
-        Touched-entity representation: ``"packed"`` (default — two
-        bit-packed ``n``-bit masks per world plus an entity→worlds
-        inverted index, ~8–16× smaller) or ``"dense"`` (the PR-3
-        boolean ``(samples, n)`` / ``(samples, m)`` layout).  Both are
-        exact; the bit-identity tests drive them in lockstep.
     world_state_budget:
-        Cap (in bytes) on the touched-entity state.  Above it the
-        monitor keeps only outcome rows and invalidates on uniform
-        crossings alone — still exact, marginally more re-exploration.
-        The packed representation fits ~8× more worlds per byte, which
-        is what extends exact repair to ~100k-node graphs.
-    counter_layout:
-        Counter-PRF layout for per-world uniforms (requires
-        ``engine="indexed"`` when not ``"packed"``).  ``"packed"``
-        (default) strides by ``n + m`` — minimal counter space, but any
-        topology growth re-keys every uniform and forces the full
-        fallback.  ``"stable"`` gives each world a fixed 2^33-counter
-        lane so append-only growth (``NodeAdd`` / ``EdgeAdd``) never
-        moves an existing counter, unlocking incremental topology
-        ingestion (see the module docstring).  The two layouts draw
-        *different* (equally exact) world realisations; bit-identity
-        oracles must build the fresh detector with the same layout.
+        Cap (in bytes) on the bit-packed touched-entity state (two
+        ``n``-bit masks per world plus an entity→worlds inverted
+        index).  Above it the monitor keeps only outcome rows and
+        invalidates on uniform crossings alone — still exact,
+        marginally more re-exploration.
     """
 
     def __init__(
@@ -277,11 +219,8 @@ class TopKMonitor:
         seed: SeedLike = 0,
         algorithm: str = "bsr",
         bk: int = 16,
-        engine: str = "indexed",
         full_rebuild_fraction: float = 0.25,
-        world_state: str = "packed",
         world_state_budget: int = 32_000_000,
-        counter_layout: str = "packed",
     ) -> None:
         self._graph = graph
         self._k = validate_k(k, graph.num_nodes)
@@ -289,17 +228,9 @@ class TopKMonitor:
         self._lower_order = int(lower_order)
         self._upper_order = int(upper_order)
         self._seed = seed
-        self._engine_name = str(engine)
-        self._engine = reverse_engine(self._engine_name)
         if algorithm not in ("bsr", "bsrbk"):
             raise GraphError(
                 f"algorithm must be 'bsr' or 'bsrbk', got {algorithm!r}"
-            )
-        if algorithm == "bsrbk" and self._engine_name != "indexed":
-            raise GraphError(
-                "algorithm='bsrbk' requires engine='indexed': the "
-                "stream-based engines cannot re-materialise an "
-                "early-stopped run incrementally"
             )
         if bk < 2:
             raise SamplingError(f"bk must be >= 2, got {bk}")
@@ -311,27 +242,7 @@ class TopKMonitor:
                 f"{full_rebuild_fraction}"
             )
         self._full_fraction = float(full_rebuild_fraction)
-        if world_state == "packed":
-            self._state_cls = PackedWorldState
-        elif world_state == "dense":
-            self._state_cls = DenseWorldState
-        else:
-            raise GraphError(
-                f"world_state must be 'packed' or 'dense', got {world_state!r}"
-            )
-        self._world_state_name = world_state
         self._world_state_budget = int(world_state_budget)
-        if counter_layout not in COUNTER_LAYOUTS:
-            raise GraphError(
-                f"counter_layout must be one of {COUNTER_LAYOUTS}, got "
-                f"{counter_layout!r}"
-            )
-        if counter_layout != "packed" and self._engine_name != "indexed":
-            raise GraphError(
-                "counter_layout='stable' requires engine='indexed': the "
-                "stream-based engines derive their own draw schedules"
-            )
-        self._counter_layout = counter_layout
         # Pending dirt: entity -> probability at the last refresh.
         self._dirty_node_old: dict[int, float] = {}
         self._dirty_edge_old: dict[int, float] = {}
@@ -361,13 +272,13 @@ class TopKMonitor:
         self._sampling_candidates: np.ndarray | None = None
         self._nodes_touched = 0
         self._edges_touched = 0
-        # Indexed-engine world state.
+        # Per-world sampling state.
         self._sampler: IndexedReverseSampler | None = None
         self._counts: np.ndarray | None = None
         self._world_outcomes: np.ndarray | None = None
         self._world_node_draws: np.ndarray | None = None
         self._world_edge_draws: np.ndarray | None = None
-        self._world_state: DenseWorldState | PackedWorldState | None = None
+        self._world_state: PackedWorldState | None = None
         self._world_ids: np.ndarray | None = None
         # BSRBK bookkeeping (hash order over the budgeted worlds).
         self._bk_order: np.ndarray | None = None
@@ -375,8 +286,6 @@ class TopKMonitor:
         self._stop_after = 0
         self._processed = 0
         self._stopped_early = False
-        # Coarse-engine closure state.
-        self._closure: np.ndarray | None = None
         self._result: DetectionResult | None = None
         self._last_report: RefreshReport | None = None
         #: Row positions repaired by the most recent refresh (testing /
@@ -393,15 +302,24 @@ class TopKMonitor:
             "worlds_columned": 0,
         }
 
+    def __getstate__(self) -> dict:
+        # Monitors ride inside worker dumps and on-disk snapshots.
+        return {**self.__dict__, "_blob_format": _BLOB_FORMAT}
+
     def __setstate__(self, state: dict) -> None:
-        # Monitors ride inside worker dumps and on-disk snapshots; blobs
-        # written before topology ingestion existed lack the growth
-        # bookkeeping, so default it rather than poison restored shards.
+        state = dict(state)
+        found = state.pop("_blob_format", None)
+        if found != _BLOB_FORMAT:
+            # Imported lazily: the persistence layer imports streaming.
+            from repro.persistence.codec import PersistenceError
+
+            raise PersistenceError(
+                f"monitor blob has format {found!r}, expected "
+                f"{_BLOB_FORMAT}: it was written under another counter "
+                "layout or engine, and its cached worlds cannot be "
+                "repaired exactly; rebuild the tenant instead"
+            )
         self.__dict__.update(state)
-        self.__dict__.setdefault("_added_nodes", [])
-        self.__dict__.setdefault("_added_edges", [])
-        self.__dict__.setdefault("_counter_layout", "packed")
-        self.stats.setdefault("topology", 0)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -417,24 +335,9 @@ class TopKMonitor:
         return self._k
 
     @property
-    def engine_name(self) -> str:
-        """Configured reverse-sampling engine."""
-        return self._engine_name
-
-    @property
     def algorithm(self) -> str:
         """The maintained detection algorithm (``"bsr"`` / ``"bsrbk"``)."""
         return self._algorithm
-
-    @property
-    def world_state_kind(self) -> str:
-        """Configured touched-entity representation."""
-        return self._world_state_name
-
-    @property
-    def counter_layout(self) -> str:
-        """Configured counter-PRF layout (``"packed"`` / ``"stable"``)."""
-        return self._counter_layout
 
     @property
     def world_state_nbytes(self) -> int:
@@ -497,9 +400,8 @@ class TopKMonitor:
     def add_node(self, label: NodeLabel, self_risk: float = 0.0) -> int:
         """Append a node to the live graph and track it for ingestion.
 
-        Returns the new node's index.  Under ``counter_layout="stable"``
-        the next refresh folds the growth in incrementally; otherwise it
-        takes the exact full fallback.
+        Returns the new node's index.  The next refresh folds the growth
+        in incrementally.
         """
         index = self._graph.add_node(label, self_risk)
         self._added_nodes.append(int(index))
@@ -657,8 +559,7 @@ class TopKMonitor:
         cached outcome matrix, and every registered query family
         integrates over the *same* worlds the top-k answer does.
 
-        When the indexed sampling stage holds no worlds (``k' = 0``, a
-        non-indexed engine, or an over-budget configuration) the view
+        When the sampling stage holds no worlds (``k' = 0``) the view
         falls back to worlds ``0 .. min_worlds-1`` under a key derived
         from the monitor's seed — still deterministic, still repairable
         on the next call.
@@ -714,14 +615,12 @@ class TopKMonitor:
                 graph,
                 self._world_ids,
                 stream_key=self._sampler.stream_key,
-                counter_layout=self._counter_layout,
             )
         else:
             view = WorldView(
                 graph,
                 np.arange(max(1, int(min_worlds)), dtype=np.int64),
                 seed=self._seed,
-                counter_layout=self._counter_layout,
             )
         self._query_engine = QueryEngine(view)
         self._query_engine_key = key
@@ -855,12 +754,10 @@ class TopKMonitor:
 
     def _can_ingest_topology(self) -> bool:
         """Whether the pending shape change qualifies for the
-        incremental topology path (stable counters, warm pipeline, and
-        growth fully explained by the monitor's own intake)."""
+        incremental topology path (warm pipeline, and growth fully
+        explained by the monitor's own intake)."""
         return (
-            self._engine_name == "indexed"
-            and self._counter_layout == "stable"
-            and self._bounds is not None
+            self._bounds is not None
             and self._reduction is not None
             and self._topology_consistent()
         )
@@ -882,7 +779,7 @@ class TopKMonitor:
         * **Sampling** extends the cached world masks with zero bits
           for the new entities (a cached closure cannot contain them),
           rebuilds the sampler over the grown CSR — same stream key,
-          same stable counters — and re-explores exactly the worlds
+          same counters — and re-explores exactly the worlds
           whose expanded set contains a new edge's head (reverse
           exploration draws a node's in-edges only once the node is
           expanded, so every other world replays verbatim) plus the
@@ -926,7 +823,7 @@ class TopKMonitor:
             state = self._world_state
             over_budget = (
                 state is not None
-                and self._state_cls.bytes_needed(
+                and PackedWorldState.bytes_needed(
                     self._samples, graph.num_nodes, graph.num_edges
                 )
                 > self._world_state_budget
@@ -954,18 +851,15 @@ class TopKMonitor:
                 # Extend first: old bits are preserved, new entities'
                 # columns start zero, so the pre-growth invalidation
                 # queries below read exactly the pre-growth masks.
-                if self._state_cls is DenseWorldState:
-                    state.extend(graph.num_nodes, graph.num_edges)
-                else:
-                    state.extend(
-                        graph.num_nodes,
-                        graph.num_edges,
-                        heads=dst,
-                        in_degrees=np.diff(graph.in_csr().indptr),
-                    )
+                state.extend(
+                    graph.num_nodes,
+                    graph.num_edges,
+                    heads=dst,
+                    in_degrees=np.diff(graph.in_csr().indptr),
+                )
                 # The cached sampler's CSR and candidate frontier
-                # predate the growth; stable counters make the rebuild
-                # draw-compatible with every cached world.
+                # predate the growth; fixed counter lanes make the
+                # rebuild draw-compatible with every cached world.
                 self._sampler = self._make_indexed_sampler(
                     self._sampling_candidates
                 )
@@ -973,19 +867,7 @@ class TopKMonitor:
                     nodes_idx, nodes_old, edges_idx, edges_old
                 )
                 if new_edges.size:
-                    if self._state_cls is DenseWorldState:
-                        # The dense state has no expanded mask and its
-                        # drawn-edge columns are zero for new edges, so
-                        # query the touched bits of the new heads —
-                        # touched ⊇ expanded, and re-exploring a world
-                        # that merely touched (never expanded) a new
-                        # head replays verbatim, so the superset repair
-                        # is exact, just marginally wider.
-                        hit_rows, _ = state.node_pairs(new_heads)
-                    else:
-                        hit_rows, _ = state.edge_pairs(
-                            new_edges, dst[new_edges]
-                        )
+                    hit_rows, _ = state.edge_pairs(new_edges, dst[new_edges])
                     topo_affected = np.unique(hit_rows)
                 else:
                     topo_affected = new_edges
@@ -1127,9 +1009,7 @@ class TopKMonitor:
                 and samples == self._samples
                 and np.array_equal(reduction.candidates, self._sampling_candidates)
             )
-            if self._engine_name == "indexed" and (
-                inputs_unchanged or self._can_column(reduction, samples)
-            ):
+            if inputs_unchanged or self._can_column(reduction, samples):
                 # Invalidation runs against the pre-change world rows;
                 # rows the columning step appends are explored against
                 # the already-patched graph and need no repair.
@@ -1169,7 +1049,7 @@ class TopKMonitor:
                         if extended and sampling == "reused":
                             sampling = "repaired"
                 self.last_repaired_rows = affected
-            elif not inputs_unchanged:
+            else:
                 self._resample(reduction, samples)
                 sampling = "resampled"
                 worlds_repaired = (
@@ -1178,18 +1058,6 @@ class TopKMonitor:
                     else samples
                 )
                 self.stats["worlds_resampled"] += worlds_repaired
-            else:
-                assert self._closure is not None
-                relevant = bool(self._closure[nodes_idx].any()) or bool(
-                    self._closure[heads].any()
-                )
-                if relevant:
-                    self._resample(reduction, samples)
-                    sampling = "resampled"
-                    worlds_repaired = samples
-                    self.stats["worlds_resampled"] += samples
-                else:
-                    sampling = "reused"
         self._reduction = reduction
         self._assemble(started)
         return RefreshReport(
@@ -1206,7 +1074,7 @@ class TopKMonitor:
         )
 
     # ------------------------------------------------------------------
-    # Indexed-engine repair machinery
+    # Per-world repair machinery
     # ------------------------------------------------------------------
     def _affected_rows(
         self,
@@ -1228,9 +1096,8 @@ class TopKMonitor:
         assert self._sampler is not None and self._world_ids is not None
         graph = self._graph
         rows = self._world_ids.size
-        stride = self._sampler.counter_stride
         key = self._sampler.stream_key
-        bases = self._world_ids.astype(_U64) * stride
+        bases = self._world_ids.astype(_U64) * COUNTER_STRIDE
         state = self._world_state
         affected = np.zeros(rows, dtype=bool)
         # edge_array copies all three m-length columns per access; pull
@@ -1281,7 +1148,7 @@ class TopKMonitor:
                 edges_idx,
                 lows,
                 highs,
-                self._sampler.edge_counter_offset,
+                EDGE_COUNTER_BASE,
                 is_edge=True,
             )
         return np.flatnonzero(affected)
@@ -1291,16 +1158,11 @@ class TopKMonitor:
     ) -> IndexedReverseSampler:
         """The monitor's canonical indexed-sampler construction.
 
-        Every rebuild must thread the same seed *and* counter layout —
-        a layout mismatch would re-key the per-world uniforms and
-        silently break the repair-set bit-identity guarantee.
+        Every rebuild must thread the same seed — another seed would
+        re-key the per-world uniforms and silently break the repair-set
+        bit-identity guarantee.
         """
-        return IndexedReverseSampler(
-            self._graph,
-            candidates,
-            seed=self._seed,
-            counter_layout=self._counter_layout,
-        )
+        return IndexedReverseSampler(self._graph, candidates, seed=self._seed)
 
     def _repair_rows(self, rows: np.ndarray) -> None:
         """Re-explore only the invalidated world rows and splice them in.
@@ -1312,10 +1174,9 @@ class TopKMonitor:
         """
         assert self._sampler is not None and self._world_outcomes is not None
         state = self._world_state
-        collect = False if state is None else state.collect_mode
         world_ids = self._world_ids[rows]
         for positions, block in self._sampler.iter_world_blocks(
-            world_ids, collect_touched=collect
+            world_ids, collect_touched=state is not None
         ):
             target = rows[positions]
             if self._counts is not None:  # BSRBK rescans instead
@@ -1340,7 +1201,7 @@ class TopKMonitor:
     ) -> bool:
         """Whether a candidate/budget change is absorbable incrementally.
 
-        Requires the indexed BSR pipeline with touched state (the
+        Requires the BSR pipeline with touched state (the
         popcount bookkeeping is what keeps the union draw counters
         exact), candidates that only *grew* (a removed candidate shrinks
         every world's closure in ways only a re-exploration can
@@ -1361,7 +1222,7 @@ class TopKMonitor:
             return False
         graph = self._graph
         return (
-            self._state_cls.bytes_needed(
+            PackedWorldState.bytes_needed(
                 samples, graph.num_nodes, graph.num_edges
             )
             <= self._world_state_budget
@@ -1415,8 +1276,7 @@ class TopKMonitor:
             added_positions = np.searchsorted(new_candidates, added)
             added_sampler = self._make_indexed_sampler(added)
             for positions, block in added_sampler.iter_world_blocks(
-                np.arange(keep, dtype=np.int64),
-                collect_touched=state.collect_mode,
+                np.arange(keep, dtype=np.int64), collect_touched=True
             ):
                 outcomes[np.ix_(positions, added_positions)] = block.outcomes
                 node_delta, edge_delta = state.merge_block(positions, block)
@@ -1428,8 +1288,7 @@ class TopKMonitor:
         appended = samples - keep
         if appended > 0:
             for positions, block in sampler.iter_world_blocks(
-                np.arange(keep, samples, dtype=np.int64),
-                collect_touched=state.collect_mode,
+                np.arange(keep, samples, dtype=np.int64), collect_touched=True
             ):
                 target = positions + keep
                 outcomes[target] = block.outcomes
@@ -1450,7 +1309,7 @@ class TopKMonitor:
     # ------------------------------------------------------------------
     def _tracked_state(
         self, samples: int, rows: int | None = None
-    ) -> DenseWorldState | PackedWorldState | None:
+    ) -> PackedWorldState | None:
         """Fresh touched-entity state, or ``None`` when over budget.
 
         The budget is judged against *samples* worlds (the most the run
@@ -1459,11 +1318,9 @@ class TopKMonitor:
         """
         graph = self._graph
         n, m = graph.num_nodes, graph.num_edges
-        if self._state_cls.bytes_needed(samples, n, m) > self._world_state_budget:
+        if PackedWorldState.bytes_needed(samples, n, m) > self._world_state_budget:
             return None
         rows = samples if rows is None else rows
-        if self._state_cls is DenseWorldState:
-            return DenseWorldState(rows, n, m)
         in_csr = graph.in_csr()
         return PackedWorldState(
             rows,
@@ -1475,54 +1332,35 @@ class TopKMonitor:
 
     def _resample(self, reduction: CandidateReduction, samples: int) -> None:
         """Estimate the whole candidate set afresh (as fresh detection)."""
-        graph = self._graph
-        if self._engine_name == "indexed":
-            sampler = self._make_indexed_sampler(reduction.candidates)
-            self._sampler = sampler
-            if self._algorithm == "bsrbk":
-                self._bk_resample(reduction, samples)
-            else:
-                state = self._tracked_state(samples)
-                collect = False if state is None else state.collect_mode
-                outcomes = np.zeros(
-                    (samples, reduction.candidates.size), dtype=bool
-                )
-                node_draws = np.zeros(samples, dtype=np.int64)
-                edge_draws = np.zeros(samples, dtype=np.int64)
-                for rows, block in sampler.iter_world_blocks(
-                    np.arange(samples, dtype=np.int64),
-                    collect_touched=collect,
-                ):
-                    outcomes[rows] = block.outcomes
-                    node_draws[rows] = block.node_draws
-                    edge_draws[rows] = block.edge_draws
-                    if state is not None:
-                        state.store_block(rows, block)
-                self._world_outcomes = outcomes
-                self._world_node_draws = node_draws
-                self._world_edge_draws = edge_draws
-                self._world_state = state
-                self._world_ids = np.arange(samples, dtype=np.int64)
-                self._counts = outcomes.sum(axis=0)
-                self._probs = self._counts / float(samples)
-                self._nodes_touched = int(node_draws.sum())
-                self._edges_touched = int(edge_draws.sum())
-                self._bk_order = self._bk_hashes = None
-                self._processed = 0
-            self._closure = None
+        sampler = self._make_indexed_sampler(reduction.candidates)
+        self._sampler = sampler
+        if self._algorithm == "bsrbk":
+            self._bk_resample(reduction, samples)
         else:
-            sampler = self._engine(graph, reduction.candidates, seed=self._seed)
-            estimate = sampler.run(samples)
-            self._probs = estimate.probabilities
-            self._nodes_touched = sampler.nodes_touched
-            self._edges_touched = sampler.edges_touched
-            self._sampler = None
-            self._counts = None
-            self._world_outcomes = None
-            self._world_node_draws = self._world_edge_draws = None
-            self._world_state = None
-            self._world_ids = None
-            self._closure = ancestor_closure(graph, reduction.candidates)
+            state = self._tracked_state(samples)
+            outcomes = np.zeros((samples, reduction.candidates.size), dtype=bool)
+            node_draws = np.zeros(samples, dtype=np.int64)
+            edge_draws = np.zeros(samples, dtype=np.int64)
+            for rows, block in sampler.iter_world_blocks(
+                np.arange(samples, dtype=np.int64),
+                collect_touched=state is not None,
+            ):
+                outcomes[rows] = block.outcomes
+                node_draws[rows] = block.node_draws
+                edge_draws[rows] = block.edge_draws
+                if state is not None:
+                    state.store_block(rows, block)
+            self._world_outcomes = outcomes
+            self._world_node_draws = node_draws
+            self._world_edge_draws = edge_draws
+            self._world_state = state
+            self._world_ids = np.arange(samples, dtype=np.int64)
+            self._counts = outcomes.sum(axis=0)
+            self._probs = self._counts / float(samples)
+            self._nodes_touched = int(node_draws.sum())
+            self._edges_touched = int(edge_draws.sum())
+            self._bk_order = self._bk_hashes = None
+            self._processed = 0
         self._samples = int(samples)
         self._sampling_candidates = reduction.candidates.copy()
         self._stop_after = int(reduction.k_remaining)
@@ -1565,7 +1403,6 @@ class TopKMonitor:
         chunk = max(64, self._sampler.world_batch, evaluated)
         scan = None
         state = self._world_state
-        collect = False if state is None else state.collect_mode
         while True:
             if evaluated:
                 scan = bottom_k_scan(
@@ -1592,7 +1429,7 @@ class TopKMonitor:
             if state is not None:
                 state.resize(grown)
             for positions, block in self._sampler.iter_world_blocks(
-                world_ids, collect_touched=collect
+                world_ids, collect_touched=state is not None
             ):
                 target = positions + evaluated
                 outcomes[target] = block.outcomes
@@ -1637,7 +1474,6 @@ class TopKMonitor:
         self._bk_order = self._bk_hashes = None
         self._processed = 0
         self._stopped_early = False
-        self._closure = None
 
     def _assemble(self, started: float) -> None:
         """Build the DetectionResult exactly as the fresh detector does."""
@@ -1660,7 +1496,6 @@ class TopKMonitor:
                 **reduction.summary(),
                 "nodes_touched": self._nodes_touched,
                 "edges_touched": self._edges_touched,
-                "streaming_engine": self._engine_name,
             }
             method = "BSRBK"
         else:
@@ -1673,7 +1508,6 @@ class TopKMonitor:
                 **reduction.summary(),
                 "nodes_touched": self._nodes_touched,
                 "edges_touched": self._edges_touched,
-                "streaming_engine": self._engine_name,
             }
             method = "BSR"
         self._result = DetectionResult(

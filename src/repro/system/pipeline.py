@@ -122,7 +122,7 @@ class RiskControlCenter:
         self._audit(
             "streaming-enabled",
             f"incremental top-{monitor.k} monitor attached "
-            f"(engine={monitor.engine_name})",
+            f"(algorithm={monitor.algorithm})",
         )
         return monitor
 
@@ -138,7 +138,7 @@ class RiskControlCenter:
         :class:`~repro.serving.service.RiskService`, sharing its base
         graph buffers and worker pool.  The tenant's monitor is sized to
         this centre's watch list; keyword arguments configure it (seed,
-        engine, epsilon, …).  After attaching,
+        epsilon, …).  After attaching,
         :meth:`apply_market_update` routes events through the service's
         ingestion queue instead of an in-process monitor — the tenant's
         copy-on-write view becomes the authoritative live state, while

@@ -137,9 +137,15 @@ class TestStreamSubcommand:
         assert "streaming top-" in capsys.readouterr().out
 
     def test_engine_choice(self, graph_json, capsys):
+        # One production engine: the flag is gone, and --verify checks
+        # the monitor against a fresh detection on the default path.
+        with pytest.raises(SystemExit):
+            main(["stream", "--graph", graph_json, "--k", "1",
+                  "--engine", "batched"])
+        capsys.readouterr()
         code = main(
             ["stream", "--graph", graph_json, "--k", "1",
-             "--events", "2", "--engine", "batched", "--verify"]
+             "--events", "2", "--verify"]
         )
         assert code == 0
         assert "bit-identical" in capsys.readouterr().out

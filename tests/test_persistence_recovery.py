@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from repro.algorithms.bsr import BoundedSampleReverseDetector
 from repro.core.errors import ProbabilityError
 from repro.core.graph import UncertainGraph
 from repro.persistence.codec import PersistenceError
@@ -168,6 +170,62 @@ class TestRecovery:
                 other, mode="serial", wal_dir=tmp_path,
                 monitor_defaults=DEFAULTS,
             )
+
+
+class TestStaleMonitorBlobs:
+    """Monitor blobs carry a format stamp; cached worlds drawn under any
+    other counter layout or engine are refused on restore, never
+    silently repaired under the current counters."""
+
+    def _warm_monitor(self, graph, events):
+        monitor = TopKMonitor(graph, 4, **DEFAULTS)
+        monitor.top_k()
+        monitor.apply(events[:5])
+        monitor.top_k()
+        return monitor
+
+    def test_round_trip_keeps_tracking_fresh_detection(self, graph, events):
+        monitor = self._warm_monitor(graph, events)
+        restored = pickle.loads(pickle.dumps(monitor))
+        assert restored.top_k().same_answer(monitor.top_k())
+        restored.apply(events[5:15])
+        fresh = BoundedSampleReverseDetector(**DEFAULTS).detect(
+            restored.graph, 4
+        )
+        assert restored.top_k().same_answer(fresh)
+
+    @pytest.mark.parametrize(
+        "old_fields",
+        [
+            # Every blob written before the stamp lacks it, whatever
+            # engine, world state or counter layout drew its worlds.
+            {},
+            {"_engine_name": "indexed", "_world_state_name": "packed"},
+            {"_engine_name": "indexed", "_world_state_name": "dense"},
+            {"_engine_name": "batched", "_closure": None},
+        ],
+    )
+    def test_unstamped_blob_is_refused(
+        self, graph, events, monkeypatch, old_fields
+    ):
+        monitor = self._warm_monitor(graph, events)
+        # Pickle the way monitors were pickled before the stamp: the
+        # bare instance dict, here with the old option fields set.
+        old_state = {**monitor.__dict__, **old_fields}
+        monkeypatch.setattr(TopKMonitor, "__getstate__", lambda self: old_state)
+        blob = pickle.dumps(monitor)
+        monkeypatch.undo()
+        with pytest.raises(PersistenceError, match="format None"):
+            pickle.loads(blob)
+
+    def test_other_format_number_is_refused(self, graph, events, monkeypatch):
+        monitor = self._warm_monitor(graph, events)
+        state = {**monitor.__getstate__(), "_blob_format": 1}
+        monkeypatch.setattr(TopKMonitor, "__getstate__", lambda self: state)
+        blob = pickle.dumps(monitor)
+        monkeypatch.undo()
+        with pytest.raises(PersistenceError, match="format 1"):
+            pickle.loads(blob)
 
 
 class TestSnapshotRotation:

@@ -139,6 +139,8 @@ class TestWorldView:
             WorldView(small_random_graph, np.array([], dtype=np.int64))
         with pytest.raises(SamplingError):
             WorldView(small_random_graph, np.array([-1]), seed=0)
+        with pytest.raises(SamplingError, match="2\\^31"):
+            WorldView(small_random_graph, np.array([2**31]), seed=0)
 
 
 # ----------------------------------------------------------------------

@@ -42,7 +42,7 @@ def serving_graph():
 
 def make_service(graph, **kwargs):
     kwargs.setdefault("mode", "serial")
-    kwargs.setdefault("monitor_defaults", {"seed": 0, "engine": "indexed"})
+    kwargs.setdefault("monitor_defaults", {"seed": 0})
     return RiskService(graph, **kwargs)
 
 
@@ -70,7 +70,7 @@ class TestServiceQueryFamily:
             service.register_tenant("a", 4)
             served = service.query_family("a", "kcore", params={"k": 2})
             direct = TopKMonitor(
-                serving_graph.copy(), 4, seed=0, engine="indexed"
+                serving_graph.copy(), 4, seed=0
             ).query("kcore", k=2)
             assert served.same_answer(direct)
 
@@ -110,7 +110,7 @@ class TestServiceQueryFamily:
             # the patched graph (same seed => bit-identical).
             shadow = serving_graph.copy()
             shadow.set_self_risk(label, 0.97)
-            fresh = TopKMonitor(shadow, 4, seed=0, engine="indexed")
+            fresh = TopKMonitor(shadow, 4, seed=0)
             assert after.same_answer(fresh.query("kcore", k=2))
 
     def test_unknown_family_raises(self, serving_graph):
@@ -258,7 +258,7 @@ class TestFrontendFamilies:
             # Wire answer equals the direct engine answer on the same
             # monitor worlds (seed-pinned => deterministic).
             direct = TopKMonitor(
-                serving_graph.copy(), 4, seed=0, engine="indexed"
+                serving_graph.copy(), 4, seed=0
             ).query("kcore", k=2, top=5)
             assert body["result"]["nodes"] == direct.nodes.tolist()
             assert body["result"]["values"] == pytest.approx(

@@ -27,7 +27,7 @@ from repro.streaming.events import (
     EdgeProbabilityUpdate,
     SelfRiskUpdate,
 )
-from repro.streaming.monitor import TopKMonitor, ancestor_closure
+from repro.streaming.monitor import TopKMonitor
 from repro.streaming.replay import panel_update_stream, random_patch_stream
 
 
@@ -70,6 +70,8 @@ class TestIndexedReverseSampler:
         assert reverse_engine("indexed") is IndexedReverseSampler
         with pytest.raises(SamplingError):
             reverse_engine("nope")
+        with pytest.raises(SamplingError, match="indexed"):
+            reverse_engine("batched")
 
     def test_matches_reference_world_per_world(self):
         graph = powerlaw_graph(80, seed=4)
@@ -152,9 +154,12 @@ class TestIndexedReverseSampler:
         assert np.array_equal(
             block.touched_nodes.sum(axis=1), block.node_draws
         )
+        # Edges are drawn exactly for the expanded nodes' in-edges.
         assert np.array_equal(
-            block.touched_edges.sum(axis=1), block.edge_draws
+            block.expanded_nodes @ np.diff(graph.in_csr().indptr),
+            block.edge_draws,
         )
+        assert not (block.expanded_nodes & ~block.touched_nodes).any()
 
     def test_validation(self):
         graph = powerlaw_graph(30, seed=10)
@@ -165,16 +170,18 @@ class TestIndexedReverseSampler:
             sampler.outcomes_for_worlds(np.empty(0, dtype=np.int64))
         with pytest.raises(SamplingError):
             sampler.outcomes_for_worlds([-1])
+        with pytest.raises(SamplingError, match="2\\^31"):
+            sampler.outcomes_for_worlds([2**31])
         with pytest.raises(SamplingError):
             IndexedReverseSampler(graph, np.empty(0, dtype=np.int64))
 
     def test_usable_by_bsr_detector(self):
         graph = powerlaw_graph(150, seed=11)
-        result = BoundedSampleReverseDetector(seed=3, engine="indexed").detect(
+        result = BoundedSampleReverseDetector(seed=3).detect(
             graph, 5
         )
         assert len(result.nodes) == 5
-        again = BoundedSampleReverseDetector(seed=3, engine="indexed").detect(
+        again = BoundedSampleReverseDetector(seed=3).detect(
             graph, 5
         )
         assert result.nodes == again.nodes and result.scores == again.scores
@@ -290,20 +297,16 @@ def assert_equivalent(result, fresh):
 
 
 class TestTopKMonitorOracle:
-    @pytest.mark.parametrize("engine", ["indexed", "batched"])
-    def test_random_patches_match_fresh_detection(self, engine):
+    def test_random_patches_match_fresh_detection(self):
         graph = powerlaw_graph(200, seed=18)
-        monitor = TopKMonitor(graph, 6, seed=21, engine=engine)
-        detector_args = dict(seed=21, engine=engine)
+        monitor = TopKMonitor(graph, 6, seed=21)
         assert_equivalent(
             monitor.top_k(),
-            BoundedSampleReverseDetector(**detector_args).detect(graph, 6),
+            BoundedSampleReverseDetector(seed=21).detect(graph, 6),
         )
         for event in random_patch_stream(graph, 25, seed=1, drift=0.1):
             monitor.apply([event])
-            fresh = BoundedSampleReverseDetector(**detector_args).detect(
-                graph, 6
-            )
+            fresh = BoundedSampleReverseDetector(seed=21).detect(graph, 6)
             assert_equivalent(monitor.top_k(), fresh)
 
     def test_large_patches_match_fresh_detection(self):
@@ -312,7 +315,7 @@ class TestTopKMonitorOracle:
         for event in random_patch_stream(graph, 20, seed=2, drift=None):
             monitor.apply([event])
             fresh = BoundedSampleReverseDetector(
-                seed=8, engine="indexed"
+                seed=8
             ).detect(graph, 5)
             assert_equivalent(monitor.top_k(), fresh)
 
@@ -324,7 +327,7 @@ class TestTopKMonitorOracle:
         for year, events in panel.update_stream():
             monitor.apply(events)
             fresh = BoundedSampleReverseDetector(
-                seed=13, engine="indexed"
+                seed=13
             ).detect(graph, 8)
             assert_equivalent(monitor.top_k(), fresh)
 
@@ -339,7 +342,7 @@ class TestTopKMonitorOracle:
         assert monitor.last_report.reason == "dirty region above threshold"
         assert_equivalent(
             result,
-            BoundedSampleReverseDetector(seed=3, engine="indexed").detect(
+            BoundedSampleReverseDetector(seed=3).detect(
                 graph, 4
             ),
         )
@@ -349,7 +352,7 @@ class TestTopKMonitorOracle:
         )
         assert_equivalent(
             monitor.top_k(),
-            BoundedSampleReverseDetector(seed=3, engine="indexed").detect(
+            BoundedSampleReverseDetector(seed=3).detect(
                 graph, 4
             ),
         )
@@ -367,7 +370,7 @@ class TestTopKMonitorOracle:
         assert monitor.last_report.reason == "graph topology changed"
         assert_equivalent(
             result,
-            BoundedSampleReverseDetector(seed=2, engine="indexed").detect(
+            BoundedSampleReverseDetector(seed=2).detect(
                 graph, 4
             ),
         )
@@ -384,7 +387,7 @@ class TestTopKMonitorOracle:
         assert monitor.last_report.reason == "graph topology changed"
         assert_equivalent(
             result,
-            BoundedSampleReverseDetector(seed=5, engine="indexed").detect(
+            BoundedSampleReverseDetector(seed=5).detect(
                 graph, 4
             ),
         )
@@ -457,17 +460,6 @@ class TestTopKMonitorBehaviour:
             TopKMonitor(graph, 0)
         with pytest.raises(GraphError):
             TopKMonitor(graph, 3, full_rebuild_fraction=0.0)
-        with pytest.raises(SamplingError):
-            TopKMonitor(graph, 3, engine="bogus")
-
-    def test_ancestor_closure(self):
-        graph = UncertainGraph(
-            [(name, 0.1) for name in "abcd"],
-            [("a", "b", 0.5), ("b", "c", 0.5)],
-        )
-        mask = ancestor_closure(graph, np.array([graph.index("c")]))
-        assert mask[graph.index("a")] and mask[graph.index("b")]
-        assert mask[graph.index("c")] and not mask[graph.index("d")]
 
     def test_world_state_budget_zero_still_exact(self):
         graph = powerlaw_graph(120, seed=28)
@@ -475,7 +467,7 @@ class TestTopKMonitorBehaviour:
         for event in random_patch_stream(graph, 8, seed=5, drift=0.1):
             monitor.apply([event])
             fresh = BoundedSampleReverseDetector(
-                seed=9, engine="indexed"
+                seed=9
             ).detect(graph, 4)
             assert_equivalent(monitor.top_k(), fresh)
 
@@ -551,14 +543,14 @@ class TestCoalescedIngestion:
         events = self._stream_with_repeats(base.copy(), 16, seed=8)
 
         serial_graph = base.copy()
-        serial = TopKMonitor(serial_graph, 5, seed=2, engine="indexed")
+        serial = TopKMonitor(serial_graph, 5, seed=2)
         serial.top_k()
         for event in events:
             serial.apply([event])
         serial_result = serial.top_k()
 
         coalesced_graph = base.copy()
-        coalesced = TopKMonitor(coalesced_graph, 5, seed=2, engine="indexed")
+        coalesced = TopKMonitor(coalesced_graph, 5, seed=2)
         coalesced.top_k()
         batch = coalesce_events(events)
         assert len(batch) < len(events)
@@ -576,7 +568,7 @@ class TestCoalescedIngestion:
         # ...identical answers, bit for bit...
         assert_equivalent(coalesced_result, serial_result)
         # ...and both equal to fresh detection on the patched graph.
-        fresh = BoundedSampleReverseDetector(seed=2, engine="indexed").detect(
+        fresh = BoundedSampleReverseDetector(seed=2).detect(
             coalesced_graph, 5
         )
         assert_equivalent(coalesced_result, fresh)
@@ -602,7 +594,7 @@ class TestCoalescedIngestion:
 
         def run(ordered_events):
             graph = base.copy()
-            monitor = TopKMonitor(graph, 5, seed=4, engine="indexed")
+            monitor = TopKMonitor(graph, 5, seed=4)
             monitor.top_k()
             monitor.apply(ordered_events)
             report = monitor.refresh()
@@ -664,7 +656,7 @@ class TestTopKMonitorBSRBK:
         monitor = TopKMonitor(graph, 5, seed=8, algorithm="bsrbk")
         for event in random_patch_stream(graph, 12, seed=2, drift=None):
             monitor.apply([event])
-            fresh = BottomKDetector(bk=16, seed=8, engine="indexed").detect(
+            fresh = BottomKDetector(bk=16, seed=8).detect(
                 graph, 5
             )
             assert_bsrbk_equivalent(monitor.top_k(), fresh)
@@ -676,15 +668,13 @@ class TestTopKMonitorBSRBK:
         )
         for event in random_patch_stream(graph, 8, seed=5, drift=0.1):
             monitor.apply([event])
-            fresh = BottomKDetector(bk=16, seed=9, engine="indexed").detect(
+            fresh = BottomKDetector(bk=16, seed=9).detect(
                 graph, 4
             )
             assert_bsrbk_equivalent(monitor.top_k(), fresh)
 
-    def test_bsrbk_requires_indexed_engine(self):
+    def test_bsrbk_validates_parameters(self):
         graph = powerlaw_graph(30, seed=24)
-        with pytest.raises(GraphError, match="indexed"):
-            TopKMonitor(graph, 3, algorithm="bsrbk", engine="batched")
         with pytest.raises(GraphError):
             TopKMonitor(graph, 3, algorithm="nope")
         with pytest.raises(SamplingError):
@@ -706,7 +696,7 @@ class TestTopKMonitorBSRBK:
 
         results = []
         for world_batch in (None, 3, 70, 100_000):
-            detector = BottomKDetector(bk=8, seed=3, engine="indexed")
+            detector = BottomKDetector(bk=8, seed=3)
             if world_batch is not None:
                 # chunk = max(64, world_batch) and grows geometrically,
                 # so these pins produce genuinely different evaluation
@@ -722,9 +712,9 @@ class TestCandidateColumnRepair:
     """Satellite: candidate/budget changes absorbed without resampling,
     with draw-count bookkeeping exactly equal to fresh detection."""
 
-    def _drive(self, world_state):
+    def _drive(self):
         graph = powerlaw_graph(300, seed=18)
-        monitor = TopKMonitor(graph, 6, seed=21, world_state=world_state)
+        monitor = TopKMonitor(graph, 6, seed=21)
         monitor.top_k()
         rng = np.random.default_rng(5)
         modes = {}
@@ -736,16 +726,15 @@ class TestCandidateColumnRepair:
             monitor.set_self_risk(node, min(0.95, current + 0.15))
             result = monitor.top_k()
             fresh = BoundedSampleReverseDetector(
-                seed=21, engine="indexed"
+                seed=21
             ).detect(graph, 6)
             assert_equivalent(result, fresh)
             report = monitor.last_report
             modes[report.sampling] = modes.get(report.sampling, 0) + 1
         return monitor, modes
 
-    @pytest.mark.parametrize("world_state", ["packed", "dense"])
-    def test_growing_candidates_column_in_exactly(self, world_state):
-        monitor, modes = self._drive(world_state)
+    def test_growing_candidates_column_in_exactly(self):
+        monitor, modes = self._drive()
         # The whole point: candidate growth must not resample.
         assert modes.get("columned", 0) > 0
         assert modes.get("resampled", 0) == 0
@@ -791,7 +780,7 @@ class TestCandidateColumnRepair:
             monitor.set_self_risk(node, 0.01)
             result = monitor.top_k()
             fresh = BoundedSampleReverseDetector(
-                seed=11, engine="indexed"
+                seed=11
             ).detect(graph, 5)
             assert_equivalent(result, fresh)
             if monitor.last_report.sampling == "resampled":
@@ -852,7 +841,7 @@ class TestBoundsOnlyAnswers:
         exact = monitor.top_k()
         assert_equivalent(
             exact,
-            BoundedSampleReverseDetector(seed=6, engine="indexed").detect(
+            BoundedSampleReverseDetector(seed=6).detect(
                 graph, 5
             ),
         )
@@ -879,7 +868,7 @@ class TestBoundsOnlyAnswers:
         # And the exact path is still bit-identical after all of it.
         assert_equivalent(
             monitor.top_k(),
-            BoundedSampleReverseDetector(seed=6, engine="indexed").detect(
+            BoundedSampleReverseDetector(seed=6).detect(
                 graph, 5
             ),
         )
@@ -894,6 +883,6 @@ class TestBoundsOnlyAnswers:
             assert_equivalent(
                 monitor.top_k(),
                 BoundedSampleReverseDetector(
-                    seed=9, engine="indexed"
+                    seed=9
                 ).detect(graph, 4),
             )

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms.bsr import BoundedSampleReverseDetector
 from repro.core.errors import DuplicateEdgeError, GraphError
 from repro.core.graph import UncertainGraph
 from repro.crawling import ObservedGraphSession
@@ -193,20 +194,14 @@ class TestInterleavedLockstep:
     probability, and self-risk streams (the serving queue's contract
     extended to growth)."""
 
-    @pytest.mark.parametrize("layout", ["packed", "stable"])
-    def test_coalesced_flush_matches_serial(self, layout):
+    def test_coalesced_flush_matches_serial(self):
         from repro.serving.coalesce import coalesce_events
 
         base = powerlaw_graph(200, seed=51)
         events = interleaved_stream(base.copy(), seed=8)
 
-        def build(graph):
-            return TopKMonitor(
-                graph, 5, seed=2, engine="indexed", counter_layout=layout
-            )
-
         serial_graph = base.copy()
-        serial = build(serial_graph)
+        serial = TopKMonitor(serial_graph, 5, seed=2)
         serial.top_k()
         for event in events:
             serial.apply([event])
@@ -214,7 +209,7 @@ class TestInterleavedLockstep:
         serial_result = serial.top_k()
 
         coalesced_graph = base.copy()
-        coalesced = build(coalesced_graph)
+        coalesced = TopKMonitor(coalesced_graph, 5, seed=2)
         coalesced.top_k()
         batch = coalesce_events(events)
         assert len(batch) < len(events)
@@ -235,15 +230,13 @@ class TestInterleavedLockstep:
         )
         assert coalesced_result.same_answer(serial_result)
         # Both equal fresh detection on the final grown graph.
-        fresh = build(coalesced_graph.copy()).top_k()
+        fresh = BoundedSampleReverseDetector(seed=2).detect(coalesced_graph, 5)
         assert coalesced_result.same_answer(fresh)
 
     def test_stable_layout_takes_incremental_topology_path(self):
         base = powerlaw_graph(200, seed=52)
         events = interleaved_stream(base.copy(), seed=9)
-        monitor = TopKMonitor(
-            base, 5, seed=2, engine="indexed", counter_layout="stable"
-        )
+        monitor = TopKMonitor(base, 5, seed=2)
         monitor.top_k()
         fulls_after_build = monitor.stats["full"]
         for event in events:
@@ -253,32 +246,6 @@ class TestInterleavedLockstep:
         # incremental topology path, never the full fallback.
         assert monitor.stats["topology"] == 16
         assert monitor.stats["full"] == fulls_after_build
-
-    def test_packed_layout_topology_falls_back_to_full(self):
-        base = powerlaw_graph(120, seed=53)
-        monitor = TopKMonitor(base, 4, seed=3, engine="indexed")
-        monitor.top_k()
-        monitor.apply([NodeAdd("n", 0.2), EdgeAdd("n", base.label(0), 0.5)])
-        report = monitor.refresh()
-        assert report.mode == "full"
-        assert monitor.top_k().same_answer(
-            TopKMonitor(base.copy(), 4, seed=3, engine="indexed").top_k()
-        )
-
-    def test_stable_layout_requires_indexed_engine(self):
-        with pytest.raises(GraphError, match="indexed"):
-            TopKMonitor(
-                powerlaw_graph(30, seed=1),
-                3,
-                engine="batched",
-                counter_layout="stable",
-            )
-
-    def test_unknown_layout_rejected(self):
-        with pytest.raises(GraphError, match="counter_layout"):
-            TopKMonitor(
-                powerlaw_graph(30, seed=1), 3, counter_layout="wavy"
-            )
 
 
 class TestWalCrawlReplay:
@@ -296,9 +263,7 @@ class TestWalCrawlReplay:
         )
 
         def build(graph):
-            return TopKMonitor(
-                graph, k, seed=11, engine="indexed", counter_layout="stable"
-            )
+            return TopKMonitor(graph, k, seed=11)
 
         live = UncertainGraph()
         monitor = None

@@ -1,11 +1,13 @@
-"""Bit-packed world state: packing primitives, state equivalence, and
-packed-vs-dense bit-identity of the full streaming pipeline.
+"""Bit-packed world state: packing primitives, state queries checked
+against raw boolean masks, and the packed monitor's bit-identity with a
+stateless monitor and fresh detection.
 
 The contract under test is strict: the packed representation (two
-``n``-bit masks per world plus an entity→worlds inverted index) must be
-*indistinguishable* from the dense PR-3 layout through every monitor
-behaviour — top-k answers, per-world repair sets, and draw counters —
-on the Figure-6 workload datasets as well as synthetic streams.
+``n``-bit masks per world plus an entity→worlds inverted index) must
+answer every query exactly as ``np.nonzero`` / ``sum`` over the
+sampler's raw ``(W, n)`` masks would, and a monitor keeping it must be
+*indistinguishable* from one that keeps no touched state at all —
+top-k answers and draw counters — on the Figure-6 workload datasets.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from repro.datasets.powerlaw import directed_powerlaw_edges
 from repro.datasets.registry import load_dataset
 from repro.sampling.indexed import IndexedReverseSampler
 from repro.sampling.worldstate import (
-    DenseWorldState,
     PackedWorldState,
     pack_bool_rows,
     popcount,
@@ -62,8 +63,8 @@ class TestPackingPrimitives:
         assert pack_bool_rows(dense).nbytes * 8 == dense.nbytes
 
 
-def _random_block(rng, worlds, n, m, density=0.3):
-    """A WorldBlock-shaped namespace with consistent masks."""
+def _random_block(rng, worlds, n, density=0.3):
+    """An ExploredWorlds-shaped namespace with consistent masks."""
 
     class Block:
         pass
@@ -77,43 +78,48 @@ def _random_block(rng, worlds, n, m, density=0.3):
     return block
 
 
-class TestStateEquivalence:
-    """Dense and packed states answer every query identically."""
+def _pair_set(rows, positions):
+    return set(zip(rows.tolist(), positions.tolist()))
 
-    def _states(self, worlds, n, heads, in_degrees, rng):
-        dense = DenseWorldState(worlds, n, heads.size)
-        packed = PackedWorldState(
+
+class TestStateEquivalence:
+    """The packed state answers every query exactly as the raw
+    ``(W, n)`` masks do: a node is drawn where it is touched, an edge
+    where its head is expanded."""
+
+    def _state(self, worlds, n, heads, in_degrees):
+        return PackedWorldState(
             worlds, n, heads.size, heads=heads, in_degrees=in_degrees
         )
-        return dense, packed
 
-    def _store(self, dense, packed, rows, block, heads):
-        # The dense layout stores explicit edge masks; derive them from
-        # the expanded nodes exactly as the sampler would have drawn
-        # them (edge drawn iff its head is expanded).
-        block.touched_edges = block.expanded_nodes[:, heads]
-        dense.store_block(rows, block)
-        packed.store_block(rows, block)
+    def _assert_matches(self, packed, touched, expanded, heads, nodes, edges):
+        assert _pair_set(*packed.node_pairs(nodes)) == _pair_set(
+            *np.nonzero(touched[:, nodes])
+        )
+        assert _pair_set(*packed.edge_pairs(edges, heads[edges])) == _pair_set(
+            *np.nonzero(expanded[:, heads[edges]])
+        )
+        assert np.array_equal(packed.node_draws(), touched.sum(axis=1))
+        assert np.array_equal(
+            packed.edge_draws(), expanded[:, heads].sum(axis=1)
+        )
 
     def test_pairs_and_draws_agree(self):
         rng = np.random.default_rng(7)
         n, worlds = 90, 40
         heads = rng.integers(0, n, size=220).astype(np.int64)
         in_degrees = np.bincount(heads, minlength=n).astype(np.int64)
-        dense, packed = self._states(worlds, n, heads, in_degrees, rng)
-        block = _random_block(rng, worlds, n, heads.size)
-        self._store(dense, packed, np.arange(worlds), block, heads)
-        nodes = np.array([0, 3, 55, 89])
-        edges = np.array([0, 17, 219])
-        for state_pair in [(dense, packed)]:
-            d_rows, d_pos = state_pair[0].node_pairs(nodes)
-            p_rows, p_pos = state_pair[1].node_pairs(nodes)
-            assert set(zip(d_rows, d_pos)) == set(zip(p_rows, p_pos))
-            d_rows, d_pos = state_pair[0].edge_pairs(edges, heads[edges])
-            p_rows, p_pos = state_pair[1].edge_pairs(edges, heads[edges])
-            assert set(zip(d_rows, d_pos)) == set(zip(p_rows, p_pos))
-        assert np.array_equal(dense.node_draws(), packed.node_draws())
-        assert np.array_equal(dense.edge_draws(), packed.edge_draws())
+        packed = self._state(worlds, n, heads, in_degrees)
+        block = _random_block(rng, worlds, n)
+        packed.store_block(np.arange(worlds), block)
+        self._assert_matches(
+            packed,
+            block.touched_nodes,
+            block.expanded_nodes,
+            heads,
+            np.array([0, 3, 55, 89]),
+            np.array([0, 17, 219]),
+        )
 
     def test_pairs_agree_after_repairs_with_stale_index(self, monkeypatch):
         # The index only builds above INDEX_MIN_WORLDS rows in
@@ -124,19 +130,26 @@ class TestStateEquivalence:
         n, worlds = 600, 30
         heads = rng.integers(0, n, size=1800).astype(np.int64)
         in_degrees = np.bincount(heads, minlength=n).astype(np.int64)
-        dense, packed = self._states(worlds, n, heads, in_degrees, rng)
-        block = _random_block(rng, worlds, n, heads.size, density=0.01)
-        self._store(dense, packed, np.arange(worlds), block, heads)
+        packed = self._state(worlds, n, heads, in_degrees)
+        block = _random_block(rng, worlds, n, density=0.01)
+        touched = block.touched_nodes.copy()
+        expanded = block.expanded_nodes.copy()
+        packed.store_block(np.arange(worlds), block)
         nodes = np.arange(n)
         packed.node_pairs(nodes[:5])  # force the index build
         assert packed.has_index
         # Repair a few rows with different masks; index rows go stale.
         repair = np.array([2, 9, 21])
-        patch = _random_block(rng, repair.size, n, heads.size, density=0.01)
-        self._store(dense, packed, repair, patch, heads)
-        d_rows, d_pos = dense.node_pairs(nodes)
-        p_rows, p_pos = packed.node_pairs(nodes)
-        assert set(zip(d_rows, d_pos)) == set(zip(p_rows, p_pos))
+        patch = _random_block(rng, repair.size, n, density=0.01)
+        packed.store_block(repair, patch)
+        touched[repair] = patch.touched_nodes
+        expanded[repair] = patch.expanded_nodes
+        assert _pair_set(*packed.node_pairs(nodes)) == _pair_set(
+            *np.nonzero(touched)
+        )
+        self._assert_matches(
+            packed, touched, expanded, heads, nodes[:40], np.arange(50)
+        )
 
     def test_dense_index_disabled_pairs_still_exact(self, monkeypatch):
         """High touch density disables the index; the column bit-scan
@@ -146,35 +159,46 @@ class TestStateEquivalence:
         n, worlds = 70, 30
         heads = rng.integers(0, n, size=180).astype(np.int64)
         in_degrees = np.bincount(heads, minlength=n).astype(np.int64)
-        dense, packed = self._states(worlds, n, heads, in_degrees, rng)
-        block = _random_block(rng, worlds, n, heads.size, density=0.5)
-        self._store(dense, packed, np.arange(worlds), block, heads)
+        packed = self._state(worlds, n, heads, in_degrees)
+        block = _random_block(rng, worlds, n, density=0.5)
+        packed.store_block(np.arange(worlds), block)
         nodes = np.arange(n)
-        d_rows, d_pos = dense.node_pairs(nodes)
-        p_rows, p_pos = packed.node_pairs(nodes)
+        pairs = packed.node_pairs(nodes)
         assert not packed.has_index
-        assert set(zip(d_rows, d_pos)) == set(zip(p_rows, p_pos))
+        assert _pair_set(*pairs) == _pair_set(
+            *np.nonzero(block.touched_nodes)
+        )
 
     def test_merge_block_deltas_are_exact(self):
         rng = np.random.default_rng(13)
         n, worlds = 60, 25
         heads = rng.integers(0, n, size=150).astype(np.int64)
         in_degrees = np.bincount(heads, minlength=n).astype(np.int64)
-        dense, packed = self._states(worlds, n, heads, in_degrees, rng)
-        base = _random_block(rng, worlds, n, heads.size)
-        self._store(dense, packed, np.arange(worlds), base, heads)
-        before_nodes = packed.node_draws().copy()
-        before_edges = packed.edge_draws().copy()
-        extra = _random_block(rng, worlds, n, heads.size)
-        extra.touched_edges = extra.expanded_nodes[:, heads]
-        d_node, d_edge = dense.merge_block(np.arange(worlds), extra)
-        p_node, p_edge = packed.merge_block(np.arange(worlds), extra)
-        assert np.array_equal(d_node, p_node)
-        assert np.array_equal(d_edge, p_edge)
-        assert np.array_equal(packed.node_draws(), before_nodes + p_node)
-        assert np.array_equal(packed.edge_draws(), before_edges + p_edge)
-        assert np.array_equal(dense.node_draws(), packed.node_draws())
-        assert np.array_equal(dense.edge_draws(), packed.edge_draws())
+        packed = self._state(worlds, n, heads, in_degrees)
+        base = _random_block(rng, worlds, n)
+        packed.store_block(np.arange(worlds), base)
+        extra = _random_block(rng, worlds, n)
+        node_delta, edge_delta = packed.merge_block(np.arange(worlds), extra)
+        # Deltas are the newly set node bits and newly drawn edges.
+        assert np.array_equal(
+            node_delta,
+            (extra.touched_nodes & ~base.touched_nodes).sum(axis=1),
+        )
+        assert np.array_equal(
+            edge_delta,
+            (
+                extra.expanded_nodes[:, heads]
+                & ~base.expanded_nodes[:, heads]
+            ).sum(axis=1),
+        )
+        self._assert_matches(
+            packed,
+            base.touched_nodes | extra.touched_nodes,
+            base.expanded_nodes | extra.expanded_nodes,
+            heads,
+            np.arange(n),
+            np.arange(heads.size),
+        )
 
     def test_resize_grow_and_truncate(self):
         rng = np.random.default_rng(17)
@@ -184,7 +208,7 @@ class TestStateEquivalence:
         packed = PackedWorldState(
             10, n, heads.size, heads=heads, in_degrees=in_degrees
         )
-        block = _random_block(rng, 10, n, heads.size)
+        block = _random_block(rng, 10, n)
         packed.store_block(np.arange(10), block)
         draws = packed.node_draws()
         packed.resize(16)
@@ -203,11 +227,8 @@ class TestSamplerDrawCountIdentities:
         candidates = np.arange(0, 150, 3)
         sampler = IndexedReverseSampler(graph, candidates, seed=9)
         block = sampler.outcomes_for_worlds(
-            np.arange(25), collect_touched="compact"
+            np.arange(25), collect_touched=True
         )
-        dense_block = IndexedReverseSampler(
-            graph, candidates, seed=9
-        ).outcomes_for_worlds(np.arange(25), collect_touched=True)
         # node draws == touched popcount
         assert np.array_equal(
             block.node_draws, block.touched_nodes.sum(axis=1)
@@ -217,11 +238,8 @@ class TestSamplerDrawCountIdentities:
         assert np.array_equal(
             block.edge_draws, block.expanded_nodes @ in_degrees
         )
-        # edge mask == expanded head mask (the m-bit -> n-bit collapse)
-        heads = graph.edge_array[1]
-        assert np.array_equal(
-            dense_block.touched_edges, block.expanded_nodes[:, heads]
-        )
+        # expanded ⊆ touched: only drawn nodes can be expanded
+        assert not (block.expanded_nodes & ~block.touched_nodes).any()
 
 
 #: One Figure-6 configuration per dataset family, small enough for CI.
@@ -229,68 +247,65 @@ FIG6_WORKLOAD = [("guarantee", 2.0), ("citation", 4.0), ("p2p", 2.0)]
 
 
 class TestPackedVsDenseBitIdentity:
-    """The satellite contract: both representations, driven in lockstep
-    over the Figure-6 workload, agree on answers, per-world repair sets
-    and draw counters — and on the final fresh-detection oracle."""
+    """A monitor keeping packed touched state, driven in lockstep with
+    one that keeps none (``world_state_budget=0``: invalidation on
+    uniform crossings alone — the path the dense-mask monitor fell back
+    to above its budget), over the Figure-6 workload: both agree on
+    answers and draw counters with each other and with fresh
+    detection, and the packed repair set is the touched-filtered subset
+    of the crossing-only one."""
 
     @pytest.mark.parametrize("dataset,percent", FIG6_WORKLOAD)
     def test_fig6_stream_lockstep(self, dataset, percent):
         loaded_a = load_dataset(dataset, scale=0.02, seed=11)
         loaded_b = load_dataset(dataset, scale=0.02, seed=11)
         k = loaded_a.k_for_percent(percent)
-        packed = TopKMonitor(
-            loaded_a.graph, k, seed=5, world_state="packed"
+        packed = TopKMonitor(loaded_a.graph, k, seed=5)
+        stateless = TopKMonitor(
+            loaded_b.graph, k, seed=5, world_state_budget=0
         )
-        dense = TopKMonitor(
-            loaded_b.graph, k, seed=5, world_state="dense"
-        )
-        assert packed.top_k().same_answer(dense.top_k())
+        assert packed.top_k().same_answer(stateless.top_k())
+        assert packed.world_state_nbytes > 0
+        assert stateless.world_state_nbytes == 0
         events = list(
             random_patch_stream(loaded_a.graph, 12, seed=2, drift=0.15)
         )
         for event in events:
             packed.apply([event])
-            dense.apply([event])
+            stateless.apply([event])
             result_packed = packed.top_k()
-            result_dense = dense.top_k()
-            # Answers and work telemetry.
-            assert result_packed.same_answer(result_dense)
+            result_stateless = stateless.top_k()
+            fresh = BoundedSampleReverseDetector(seed=5).detect(
+                loaded_a.graph, k
+            )
+            # Answers and work telemetry, three ways.
+            assert result_packed.same_answer(result_stateless)
+            assert result_packed.same_answer(fresh)
             for key in ("nodes_touched", "edges_touched"):
                 assert (
-                    result_packed.details[key] == result_dense.details[key]
+                    result_packed.details[key]
+                    == result_stateless.details[key]
+                    == fresh.details[key]
                 )
-            # Per-world repair sets.
-            assert np.array_equal(
-                packed.last_repaired_rows, dense.last_repaired_rows
-            )
-            assert (
-                packed.last_report.sampling == dense.last_report.sampling
-            )
-            assert (
-                packed.last_report.worlds_repaired
-                == dense.last_report.worlds_repaired
-            )
-        assert packed.stats == dense.stats
-        # Both end bit-identical to fresh detection on the final graph.
-        fresh = BoundedSampleReverseDetector(seed=5).detect(
-            loaded_a.graph, k
-        )
-        assert result_packed.same_answer(fresh)
-        assert (
-            result_packed.details["nodes_touched"]
-            == fresh.details["nodes_touched"]
-        )
+            # Per-world repair sets: touched filtering only drops rows.
+            modes = {
+                packed.last_report.sampling,
+                stateless.last_report.sampling,
+            }
+            if modes <= {"repaired", "reused"}:
+                assert set(packed.last_repaired_rows.tolist()) <= set(
+                    stateless.last_repaired_rows.tolist()
+                )
 
     def test_packed_state_is_at_least_four_times_smaller(self):
         """On the sparse workload graphs the packed masks are ~8× (and
-        with the m-bit collapse typically >8×) below the dense bytes."""
+        with the m-bit collapse typically >8×) below the
+        ``samples * (n + m)`` bytes of boolean touched masks."""
         graph = powerlaw_graph(800, seed=6)
-        packed = TopKMonitor(graph, 8, seed=3, world_state="packed")
-        dense = TopKMonitor(graph, 8, seed=3, world_state="dense")
-        packed.top_k()
-        dense.top_k()
-        assert packed.world_state_nbytes > 0
-        assert (
-            dense.world_state_nbytes
-            >= 4 * packed.world_state_nbytes
+        packed = TopKMonitor(graph, 8, seed=3)
+        result = packed.top_k()
+        boolean_bytes = result.samples_used * (
+            graph.num_nodes + graph.num_edges
         )
+        assert packed.world_state_nbytes > 0
+        assert boolean_bytes >= 4 * packed.world_state_nbytes
