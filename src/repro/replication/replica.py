@@ -36,6 +36,7 @@ import dataclasses
 import json
 import os
 import struct
+import threading
 import zlib
 from pathlib import Path
 from typing import BinaryIO, Callable, Hashable
@@ -223,6 +224,10 @@ class ReplicaService:
         self._offset = 0
         self._promoted = False
         self._closed = False
+        #: Held across each ingest, so promote() reads ``_applied_seq``
+        #: with no shipped record persisted but not yet applied (the
+        #: adopting service would replay that record a second time).
+        self._ingest_lock = threading.Lock()
         self.stats = {
             "records_applied": 0,
             "batches_applied": 0,
@@ -361,6 +366,10 @@ class ReplicaService:
         bytes.  Raises :class:`CorruptShippedError` on a framing/CRC
         failure with the mirror untouched by the bad record.
         """
+        with self._ingest_lock:
+            return self._ingest(data)
+
+    def _ingest(self, data: bytes) -> int:
         self._ensure_live()
         self._buffer += data
         applied = 0
@@ -570,9 +579,10 @@ class ReplicaService:
         (``ingest`` raises); reads continue through the returned
         service.
         """
-        self._ensure_live()
-        self._writer.close()
-        self._promoted = True
+        with self._ingest_lock:
+            self._ensure_live()
+            self._writer.close()
+            self._promoted = True
         service = RiskService(
             self._graph,
             wal_dir=self._directory,

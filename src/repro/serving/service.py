@@ -51,6 +51,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import hashlib
+import inspect
 import json
 import pickle
 import threading
@@ -72,6 +73,35 @@ from repro.streaming.monitor import RefreshReport, TopKMonitor
 __all__ = ["RiskService", "ServiceSnapshot", "PromotionState"]
 
 TenantId = Hashable
+
+#: Keyword parameters a WAL register record may carry for the monitor.
+_MONITOR_KEYWORDS = frozenset(
+    name
+    for name, parameter in inspect.signature(TopKMonitor).parameters.items()
+    if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+)
+
+
+def _decode_register(batch) -> tuple[int, dict]:
+    """``(k, monitor kwargs)`` of a WAL register record.
+
+    Keys the monitor no longer accepts (a record written before an
+    option was retired) are refused by name instead of surfacing as a
+    bare ``TypeError`` from the monitor's constructor mid-recovery.
+    """
+    from repro.persistence.codec import PersistenceError
+
+    register = batch.register or {}
+    kwargs = dict(register.get("kwargs", {}))
+    unknown = sorted(set(kwargs) - _MONITOR_KEYWORDS)
+    if unknown:
+        raise PersistenceError(
+            f"WAL register record {batch.seq} for tenant "
+            f"{batch.tenant_id!r} carries monitor keywords "
+            f"{unknown} that TopKMonitor does not accept; the tenant "
+            "cannot be rebuilt as registered"
+        )
+    return int(register.get("k", 1)), kwargs
 
 
 @dataclass
@@ -395,9 +425,7 @@ class RiskService:
                 # they were all accepted by the then-legitimate primary.
                 continue
             if batch.kind == "register":
-                register = batch.register or {}
-                k = int(register.get("k", 1))
-                kwargs = dict(register.get("kwargs", {}))
+                k, kwargs = _decode_register(batch)
                 self._registered[batch.tenant_id] = (k, kwargs)
                 if not self._pool.has_tenant(batch.tenant_id):
                     self._pool.register(batch.tenant_id, k, **kwargs)
@@ -436,9 +464,7 @@ class RiskService:
             if batch.kind == "epoch":
                 continue
             if batch.kind == "register":
-                register = batch.register or {}
-                k = int(register.get("k", 1))
-                kwargs = dict(register.get("kwargs", {}))
+                k, kwargs = _decode_register(batch)
                 self._registered.setdefault(batch.tenant_id, (k, kwargs))
                 if not self._pool.has_tenant(batch.tenant_id):
                     self._pool.register(batch.tenant_id, k, **kwargs)

@@ -11,7 +11,8 @@ verified count, work counters — as constructing a fresh detector
 ``detect`` on the patched graph.  All reuse below is therefore
 *provable* reuse, never approximation.
 
-The pipeline has three stages, each invalidated independently:
+Every refresh runs one staged pipeline; the stages differ only in what
+they may reuse from the previous refresh:
 
 1. **Bounds** (Algorithms 2/3) — maintained by
    :class:`~repro.bounds.incremental.IncrementalBoundPair`: only nodes
@@ -44,29 +45,30 @@ The pipeline has three stages, each invalidated independently:
    extending the evaluated prefix on demand when a repair pushes the
    stopping point later.
 
-When the dirty region exceeds ``full_rebuild_fraction`` of the graph —
-e.g. a bulk monthly re-scoring that moves everything — the monitor falls
-back to a full recomputation, which is the same code path as fresh
-detection and therefore trivially exact (the oracle tests cover both
-routes).
+When the dirty region or a bound frontier exceeds a quarter of the
+graph — e.g. a bulk monthly re-scoring that moves everything — the
+bounds stage rebuilds from scratch and nothing cached is reused: the
+same code path as fresh detection and therefore trivially exact (the
+oracle tests cover both routes).
 
 **Topology growth.**  ``NodeAdd`` / ``EdgeAdd`` events (or the
 :meth:`TopKMonitor.add_node` / :meth:`TopKMonitor.add_edge` intake)
 grow the graph append-only.  Each world owns a fixed 2^33-counter lane
 (nodes at ``w·2^33 + v``, edges at ``w·2^33 + 2^32 + e``), so growth
-never moves an existing counter and the monitor ingests topology
-*incrementally*:
+never moves an existing counter and runs through the same pipeline as
+probability patches, with two additions:
 
-* cached world masks are extended by zero bits for the new entities
-  (a cached closure can only reach a new entity through a new edge);
-* the bound iterates extend with the new nodes and refresh with the
-  attachment boundary (new nodes + new edges' heads) as the dirty seed;
-* a cached world must be re-explored **iff** some new edge's head was
-  *expanded* there — reverse exploration draws a node's in-edges only
-  when the node is expanded, so a world whose expanded set misses every
-  new head replays its exploration verbatim on the grown graph;
-* everything else (candidate columning, world-prefix resizing, BSRBK's
-  hash-order rescan) reuses the probability-path machinery.
+* the bounds stage extends its iterates with the new nodes and seeds
+  the refresh with the attachment boundary (new nodes + new edges'
+  heads) on top of the probability dirt;
+* the sampling stage extends the cached world masks by zero bits for
+  the new entities (a cached closure can only reach a new entity
+  through a new edge) and adds one invalidation set: the worlds whose
+  *expanded* set holds a new edge's head.  Reverse exploration draws a
+  node's in-edges only when the node is expanded, so every other world
+  replays its exploration verbatim on the grown graph.  Reusing cached
+  worlds under growth therefore needs touched state within budget;
+  without it the sampling stage resamples.
 
 The result is bit-identical to fresh detection on the grown graph — the
 crawl-while-monitoring oracle tests pin this after every crawl step.
@@ -119,6 +121,9 @@ __all__ = ["RefreshReport", "TopKMonitor"]
 _U64 = np.uint64
 #: Cells hashed per chunk when crossing-testing without touched state.
 _TILE_CHUNK = 1 << 22
+#: Share of the graph's nodes a dirty region or bound frontier may reach
+#: before the bounds stage rebuilds from scratch (the full fallback).
+_FULL_REBUILD_FRACTION = 0.25
 #: Format stamp of a pickled monitor.  Cached worlds are valid only under
 #: the counter layout that drew them, so blobs without this stamp —
 #: written before the single counter layout, whatever layout or engine
@@ -135,7 +140,9 @@ class RefreshReport:
     ----------
     mode:
         ``"initial"`` (first evaluation), ``"clean"`` (nothing pending),
-        ``"incremental"`` (dirty-frontier path) or ``"full"`` (fallback).
+        ``"incremental"`` (the stages reused their caches, under
+        probability patches or tracked growth) or ``"full"`` (fallback:
+        bounds rebuilt, nothing reused).
     reason:
         Why this mode was taken (threshold exceeded, topology change, …).
     dirty_nodes, dirty_edges:
@@ -196,15 +203,14 @@ class TopKMonitor:
         then a fresh :class:`~repro.algorithms.bsrbk.BottomKDetector`.
     bk:
         Bottom-k counter threshold when ``algorithm="bsrbk"``.
-    full_rebuild_fraction:
-        Dirty-region threshold (fraction of ``n``) above which refresh
-        falls back to full recomputation.
     world_state_budget:
         Cap (in bytes) on the bit-packed touched-entity state (two
         ``n``-bit masks per world plus an entity→worlds inverted
         index).  Above it the monitor keeps only outcome rows and
         invalidates on uniform crossings alone — still exact,
-        marginally more re-exploration.
+        marginally more re-exploration.  Topology growth then
+        resamples: only touched state shows which worlds a new edge
+        reaches.
     """
 
     def __init__(
@@ -219,7 +225,6 @@ class TopKMonitor:
         seed: SeedLike = 0,
         algorithm: str = "bsr",
         bk: int = 16,
-        full_rebuild_fraction: float = 0.25,
         world_state_budget: int = 32_000_000,
     ) -> None:
         self._graph = graph
@@ -236,12 +241,6 @@ class TopKMonitor:
             raise SamplingError(f"bk must be >= 2, got {bk}")
         self._algorithm = algorithm
         self._bk = int(bk)
-        if not 0.0 < full_rebuild_fraction <= 1.0:
-            raise GraphError(
-                "full_rebuild_fraction must be in (0, 1], got "
-                f"{full_rebuild_fraction}"
-            )
-        self._full_fraction = float(full_rebuild_fraction)
         self._world_state_budget = int(world_state_budget)
         # Pending dirt: entity -> probability at the last refresh.
         self._dirty_node_old: dict[int, float] = {}
@@ -626,26 +625,27 @@ class TopKMonitor:
         self._query_engine_key = key
 
     def refresh(self) -> RefreshReport:
-        """Fold all pending updates into the cached answer."""
+        """Fold all pending updates into the cached answer.
+
+        One staged pipeline serves every route: the bounds stage, then
+        Algorithm 4's candidate reduction, then the sampling stage (see
+        the module docstring).  The routes differ only in what each
+        stage may reuse — nothing on the first evaluation or the
+        ``"full"`` fallback, the dirty frontier under probability
+        patches, and the frontier widened by the attachment boundary
+        under tracked growth.  With nothing pending the refresh is
+        ``"clean"`` and runs no stage at all.
+        """
         started = time.perf_counter()
         graph = self._graph
         shape = (graph.num_nodes, graph.num_edges)
+        growth = shape != self._shape
         dirt = self._effective_dirt()
-        nodes_idx, nodes_old, edges_idx, edges_old, heads = dirt
+        nodes_idx, _, edges_idx, _, _ = dirt
         self.last_repaired_rows = np.empty(0, dtype=np.int64)
-        if self._result is None:
-            report = self._full_refresh(
-                started, "initial", "first evaluation", dirt
-            )
-        elif shape != self._shape:
-            report = None
-            if self._can_ingest_topology():
-                report = self._topology_refresh(started, dirt)
-            if report is None:
-                report = self._full_refresh(
-                    started, "full", "graph topology changed", dirt
-                )
-        elif nodes_idx.size == 0 and edges_idx.size == 0:
+        if self._result is not None and not (
+            growth or nodes_idx.size or edges_idx.size
+        ):
             report = RefreshReport(
                 mode="clean",
                 reason="no pending probability changes",
@@ -659,20 +659,49 @@ class TopKMonitor:
                 elapsed_seconds=time.perf_counter() - started,
             )
         else:
-            limit = max(1, int(self._full_fraction * graph.num_nodes))
-            if nodes_idx.size + heads.size > limit:
-                report = self._full_refresh(
-                    started, "full", "dirty region above threshold", dirt
+            initial = self._result is None
+            delta, reason = self._bounds_stage(dirt, growth)
+            # Algorithm 4 is untouched unless a changed bound value
+            # reaches Tl — below Tl both thresholds and both membership
+            # rules are provably inert.  Growth always re-runs it: the
+            # delta's old values are NaN for new nodes, so the crossing
+            # test has nothing sound to compare against (and Algorithm 4
+            # is O(n), cheap next to sampling).
+            reduction = self._reduction
+            reduction_reused = (
+                delta is not None
+                and not growth
+                and delta.max_changed_value < reduction.threshold_lower
+            )
+            if not reduction_reused:
+                lower, upper = self._bounds.pair()
+                reduction = reduce_candidates(graph, lower, upper, self._k)
+            sampling, worlds = self._sampling_stage(
+                reduction, dirt, growth, reusable=delta is not None
+            )
+            self._reduction = reduction
+            self._assemble(started)
+            if delta is None:
+                mode = "initial" if initial else "full"
+                bounds_recomputed = graph.num_nodes * (
+                    self._lower_order + self._upper_order
                 )
             else:
-                assert self._bounds is not None
-                delta = self._bounds.refresh(nodes_idx, heads, limit=limit)
-                if delta is None:
-                    report = self._full_refresh(
-                        started, "full", "bound frontier above threshold", dirt
-                    )
-                else:
-                    report = self._incremental_refresh(started, delta, dirt)
+                mode, bounds_recomputed = "incremental", delta.nodes_recomputed
+                if growth:
+                    self.stats["topology"] += 1
+            report = RefreshReport(
+                mode=mode,
+                reason=reason,
+                dirty_nodes=int(nodes_idx.size),
+                dirty_edges=int(edges_idx.size),
+                bounds_recomputed=bounds_recomputed,
+                reduction_reused=reduction_reused,
+                sampling=sampling,
+                worlds_repaired=worlds,
+                samples=self._samples,
+                elapsed_seconds=time.perf_counter() - started,
+            )
         self._dirty_node_old.clear()
         self._dirty_edge_old.clear()
         self._added_nodes.clear()
@@ -752,326 +781,168 @@ class TopKMonitor:
             and self._graph.num_edges == m + len(self._added_edges)
         )
 
-    def _can_ingest_topology(self) -> bool:
-        """Whether the pending shape change qualifies for the
-        incremental topology path (warm pipeline, and growth fully
-        explained by the monitor's own intake)."""
-        return (
-            self._bounds is not None
-            and self._reduction is not None
-            and self._topology_consistent()
-        )
+    def _bounds_stage(
+        self, dirt, growth: bool
+    ) -> tuple[BoundDelta | None, str]:
+        """Stage 1: refresh the bound iterates over the dirty frontier.
 
-    def _topology_refresh(self, started: float, dirt) -> RefreshReport | None:
-        """Fold tracked append-only growth in without a full rebuild.
-
-        Returns ``None`` to fall back to the full path (dirty region or
-        bound frontier above threshold).  Stage by stage:
-
-        * **Bounds** extend with NaN placeholders for the new nodes and
-          refresh with the attachment boundary — new nodes plus every
-          new edge's head — unioned into the probability dirt as the
-          seed (:meth:`IncrementalBoundPair.extend_topology`).
-        * **Reduction** always re-runs: the bound delta's old-value
-          telemetry is NaN for new nodes, so the Tl-crossing shortcut
-          has nothing sound to compare against; Algorithm 4 itself is
-          O(n) and cheap next to sampling.
-        * **Sampling** extends the cached world masks with zero bits
-          for the new entities (a cached closure cannot contain them),
-          rebuilds the sampler over the grown CSR — same stream key,
-          same counters — and re-explores exactly the worlds
-          whose expanded set contains a new edge's head (reverse
-          exploration draws a node's in-edges only once the node is
-          expanded, so every other world replays verbatim) plus the
-          usual probability-crossing rows.  Candidate/budget drift
-          reuses the columning machinery; BSRBK re-runs its stopping
-          scan over the repaired prefix.
+        Tracked growth only widens the seed: the new nodes and every new
+        edge's head join the probability dirt, and the cached iterates
+        extend with placeholders for the new nodes
+        (:meth:`IncrementalBoundPair.extend_topology`, a plain refresh
+        when nothing grew).  Returns the
+        delta with the report's reason, or ``None`` with the fallback's
+        reason after rebuilding the bounds from scratch — on the first
+        evaluation, on topology change the intake did not track, or when
+        the dirty region or a frontier exceeds ``_FULL_REBUILD_FRACTION``
+        of the graph.
         """
         graph = self._graph
-        nodes_idx, nodes_old, edges_idx, edges_old, heads = dirt
-        assert self._bounds is not None and self._reduction is not None
-        new_nodes = np.asarray(sorted(self._added_nodes), dtype=np.int64)
-        new_edges = np.asarray(sorted(self._added_edges), dtype=np.int64)
-        _, dst, _ = graph.edge_array
-        new_heads = (
-            np.unique(dst[new_edges]) if new_edges.size else new_edges
-        )
-        limit = max(1, int(self._full_fraction * graph.num_nodes))
-        bound_nodes = np.union1d(nodes_idx, new_nodes)
-        bound_heads = np.union1d(heads, new_heads)
-        if bound_nodes.size + bound_heads.size > limit:
-            return None
-        delta = self._bounds.extend_topology(
-            bound_nodes, bound_heads, limit=limit
-        )
-        if delta is None:
-            return None
-        lower, upper = self._bounds.pair()
-        reduction = reduce_candidates(graph, lower, upper, self._k)
-        worlds_repaired = 0
-        if reduction.k_remaining == 0:
-            sampling = "skipped"
-            self._clear_sampling_state()
+        nodes_idx, _, _, _, heads = dirt
+        if self._result is None:
+            reason = "first evaluation"
+        elif growth and not self._topology_consistent():
+            reason = "graph topology changed"
         else:
-            samples = reduced_sample_size(
-                reduction.candidate_size,
-                self._k,
-                reduction.k_verified,
-                self._epsilon,
-                self._delta,
-            )
-            state = self._world_state
-            over_budget = (
+            if growth:
+                _, dst, _ = graph.edge_array
+                new_nodes = np.asarray(self._added_nodes, dtype=np.int64)
+                new_edges = np.asarray(self._added_edges, dtype=np.int64)
+                nodes_idx = np.union1d(nodes_idx, new_nodes)
+                heads = np.union1d(heads, dst[new_edges])
+            limit = max(1, int(_FULL_REBUILD_FRACTION * graph.num_nodes))
+            seeded = nodes_idx.size + heads.size
+            delta = None
+            if seeded <= limit:
+                delta = self._bounds.extend_topology(
+                    nodes_idx, heads, limit=limit
+                )
+            if delta is not None:
+                if growth:
+                    return delta, "incremental topology ingestion"
+                return delta, "dirty-frontier refresh"
+            if growth:
+                reason = "graph topology changed"
+            elif seeded > limit:
+                reason = "dirty region above threshold"
+            else:
+                reason = "bound frontier above threshold"
+        self._bounds = IncrementalBoundPair(
+            graph, self._lower_order, self._upper_order
+        )
+        return None, reason
+
+    def _sampling_stage(
+        self,
+        reduction: CandidateReduction,
+        dirt,
+        growth: bool,
+        reusable: bool,
+    ) -> tuple[str, int]:
+        """Stage 3: repair, column in or resample the cached worlds.
+
+        Returns the report's ``(sampling, worlds_repaired)``.  Cached
+        worlds are reusable when the bounds stage kept its cache
+        (*reusable*) and a sampler survives; growth also needs touched
+        state within budget, since only the expanded sets tell which
+        worlds a new edge reaches.  Reused worlds are invalidated by the
+        dirty entities' uniform crossings and, under growth, wherever a
+        new edge's head was *expanded* — reverse exploration draws a
+        node's in-edges only once the node is expanded, so every other
+        world replays verbatim on the grown graph.  Only those rows are
+        re-explored; a candidate or budget change is columned in when
+        :meth:`_can_column` allows.  Anything else resamples, exactly as
+        fresh detection does.
+        """
+        if reduction.k_remaining == 0:
+            self._clear_sampling_state()
+            return "skipped", 0
+        graph = self._graph
+        samples = reduced_sample_size(
+            reduction.candidate_size,
+            self._k,
+            reduction.k_verified,
+            self._epsilon,
+            self._delta,
+        )
+        state = self._world_state
+        reusable = reusable and self._sampler is not None
+        if growth and reusable:
+            reusable = (
                 state is not None
                 and PackedWorldState.bytes_needed(
                     self._samples, graph.num_nodes, graph.num_edges
                 )
-                > self._world_state_budget
+                <= self._world_state_budget
             )
-            if (
-                self._sampler is None
-                or self._world_outcomes is None
-                or state is None
-                or over_budget
-            ):
-                # Nothing extendable is cached (previous refresh skipped
-                # sampling, or touched state is absent / would blow the
-                # budget after growth).  Re-estimating afresh is still
-                # exact — and bit-identical to the fresh oracle, which
-                # takes this same path.
-                self._resample(reduction, samples)
-                sampling = "resampled"
-                worlds_repaired = (
-                    self._processed
-                    if self._algorithm == "bsrbk"
-                    else samples
-                )
-                self.stats["worlds_resampled"] += worlds_repaired
-            else:
-                # Extend first: old bits are preserved, new entities'
-                # columns start zero, so the pre-growth invalidation
-                # queries below read exactly the pre-growth masks.
-                state.extend(
-                    graph.num_nodes,
-                    graph.num_edges,
-                    heads=dst,
-                    in_degrees=np.diff(graph.in_csr().indptr),
-                )
-                # The cached sampler's CSR and candidate frontier
-                # predate the growth; fixed counter lanes make the
-                # rebuild draw-compatible with every cached world.
-                self._sampler = self._make_indexed_sampler(
-                    self._sampling_candidates
-                )
-                prob_affected = self._affected_rows(
-                    nodes_idx, nodes_old, edges_idx, edges_old
-                )
-                if new_edges.size:
-                    hit_rows, _ = state.edge_pairs(new_edges, dst[new_edges])
-                    topo_affected = np.unique(hit_rows)
-                else:
-                    topo_affected = new_edges
-                affected = np.union1d(prob_affected, topo_affected).astype(
-                    np.int64
-                )
-                inputs_unchanged = (
-                    samples == self._samples
-                    and np.array_equal(
-                        reduction.candidates, self._sampling_candidates
-                    )
-                )
-                if inputs_unchanged or self._can_column(reduction, samples):
-                    if not inputs_unchanged:
-                        appended = self._column_repair(reduction, samples)
-                        affected = affected[affected < self._samples]
-                        sampling = "columned"
-                        worlds_repaired = int(affected.size) + appended
-                        self.stats["worlds_columned"] += appended
-                    elif affected.size:
-                        sampling = "repaired"
-                        worlds_repaired = int(affected.size)
-                    else:
-                        sampling = "reused"
-                    if affected.size:
-                        self._repair_rows(affected)
-                        self.stats["worlds_repaired"] += int(affected.size)
-                    if self._algorithm == "bsrbk":
-                        stop_changed = (
-                            int(reduction.k_remaining) != self._stop_after
-                        )
-                        self._stop_after = int(reduction.k_remaining)
-                        if affected.size or stop_changed:
-                            extended = self._bk_rescan()
-                            worlds_repaired += extended
-                            self.stats["worlds_repaired"] += extended
-                            if extended and sampling == "reused":
-                                sampling = "repaired"
-                    self.last_repaired_rows = affected
-                else:
-                    self._resample(reduction, samples)
-                    sampling = "resampled"
-                    worlds_repaired = (
-                        self._processed
-                        if self._algorithm == "bsrbk"
-                        else samples
-                    )
-                    self.stats["worlds_resampled"] += worlds_repaired
-        self._reduction = reduction
-        self._assemble(started)
-        self.stats["topology"] += 1
-        return RefreshReport(
-            mode="incremental",
-            reason="incremental topology ingestion",
-            dirty_nodes=int(nodes_idx.size),
-            dirty_edges=int(edges_idx.size),
-            bounds_recomputed=delta.nodes_recomputed,
-            reduction_reused=False,
-            sampling=sampling,
-            worlds_repaired=worlds_repaired,
-            samples=self._samples,
-            elapsed_seconds=time.perf_counter() - started,
+        inputs_unchanged = (
+            reusable
+            and samples == self._samples
+            and np.array_equal(reduction.candidates, self._sampling_candidates)
         )
-
-    def _full_refresh(
-        self, started: float, mode: str, reason: str, dirt
-    ) -> RefreshReport:
-        """Recompute every stage — the same pipeline as fresh detection."""
-        graph = self._graph
-        self._bounds = IncrementalBoundPair(
-            graph, self._lower_order, self._upper_order
-        )
-        lower, upper = self._bounds.pair()
-        reduction = reduce_candidates(graph, lower, upper, self._k)
-        if reduction.k_remaining > 0:
-            samples = reduced_sample_size(
-                reduction.candidate_size,
-                self._k,
-                reduction.k_verified,
-                self._epsilon,
-                self._delta,
-            )
+        if not (
+            inputs_unchanged
+            or (reusable and self._can_column(reduction, samples))
+        ):
             self._resample(reduction, samples)
-        else:
-            self._clear_sampling_state()
-        self._reduction = reduction
-        self._assemble(started)
-        nodes_idx, _, edges_idx, _, _ = dirt
-        worlds = (
-            self._processed if self._algorithm == "bsrbk" else self._samples
-        )
-        self.stats["worlds_resampled"] += worlds
-        return RefreshReport(
-            mode=mode,
-            reason=reason,
-            dirty_nodes=int(nodes_idx.size),
-            dirty_edges=int(edges_idx.size),
-            bounds_recomputed=graph.num_nodes
-            * (self._lower_order + self._upper_order),
-            reduction_reused=False,
-            sampling="resampled" if worlds else "skipped",
-            worlds_repaired=worlds,
-            samples=self._samples,
-            elapsed_seconds=time.perf_counter() - started,
-        )
-
-    def _incremental_refresh(
-        self, started: float, delta: BoundDelta, dirt
-    ) -> RefreshReport:
-        """The dirty-frontier path: provable reuse stage by stage."""
-        graph = self._graph
-        nodes_idx, nodes_old, edges_idx, edges_old, heads = dirt
-        assert self._bounds is not None and self._reduction is not None
-        # Stage 2: Algorithm 4 is untouched unless a changed bound value
-        # reaches Tl — below Tl both thresholds and both membership rules
-        # are provably inert.
-        crossed = (
-            delta.max_changed_value >= self._reduction.threshold_lower
-        )
-        reduction = self._reduction
-        if crossed:
-            lower, upper = self._bounds.pair()
-            reduction = reduce_candidates(graph, lower, upper, self._k)
-        # Stage 3: sampling.
-        worlds_repaired = 0
-        if reduction.k_remaining == 0:
-            sampling = "skipped"
-            self._clear_sampling_state()
-        else:
-            samples = reduced_sample_size(
-                reduction.candidate_size,
-                self._k,
-                reduction.k_verified,
-                self._epsilon,
-                self._delta,
+            worlds = self._processed if self._algorithm == "bsrbk" else samples
+            self.stats["worlds_resampled"] += worlds
+            return "resampled", worlds
+        nodes_idx, nodes_old, edges_idx, edges_old, _ = dirt
+        if growth:
+            # Extend first: old bits are kept and new entities' columns
+            # start clear, so the invalidation below reads exactly the
+            # pre-growth masks.  Fixed counter lanes make the sampler
+            # rebuilt over the grown CSR draw-compatible with every
+            # cached world.
+            _, dst, _ = graph.edge_array
+            state.extend(
+                graph.num_nodes,
+                graph.num_edges,
+                heads=dst,
+                in_degrees=np.diff(graph.in_csr().indptr),
             )
-            inputs_unchanged = (
-                self._sampling_candidates is not None
-                and samples == self._samples
-                and np.array_equal(reduction.candidates, self._sampling_candidates)
+            self._sampler = self._make_indexed_sampler(
+                self._sampling_candidates
             )
-            if inputs_unchanged or self._can_column(reduction, samples):
-                # Invalidation runs against the pre-change world rows;
-                # rows the columning step appends are explored against
-                # the already-patched graph and need no repair.
-                affected = self._affected_rows(
-                    nodes_idx, nodes_old, edges_idx, edges_old
-                )
-                if not inputs_unchanged:
-                    appended = self._column_repair(reduction, samples)
-                    affected = affected[affected < self._samples]
-                    sampling = "columned"
-                    worlds_repaired = int(affected.size) + appended
-                    self.stats["worlds_columned"] += appended
-                elif affected.size:
+        affected = self._affected_rows(
+            nodes_idx, nodes_old, edges_idx, edges_old
+        )
+        if growth and self._added_edges:
+            new_edges = np.asarray(self._added_edges, dtype=np.int64)
+            hit_rows, _ = state.edge_pairs(new_edges, dst[new_edges])
+            affected = np.union1d(affected, hit_rows).astype(np.int64)
+        if inputs_unchanged:
+            sampling = "repaired" if affected.size else "reused"
+            worlds = int(affected.size)
+        else:
+            # Invalidation ran against the pre-change rows; rows the
+            # columning step appends are explored against the patched
+            # graph and need no repair.
+            appended = self._column_repair(reduction, samples)
+            affected = affected[affected < self._samples]
+            sampling = "columned"
+            worlds = int(affected.size) + appended
+            self.stats["worlds_columned"] += appended
+        if affected.size:
+            self._repair_rows(affected)
+            self.stats["worlds_repaired"] += int(affected.size)
+        if self._algorithm == "bsrbk":
+            # The stopping rule also depends on k_remaining, which can
+            # move (k_verified drift) while the candidate set and budget
+            # stay equal — the scan must always run against the fresh
+            # value.  A later stopping point can pull new worlds into
+            # the evaluated prefix; they count as repaired.
+            stop_changed = int(reduction.k_remaining) != self._stop_after
+            self._stop_after = int(reduction.k_remaining)
+            if affected.size or stop_changed:
+                extended = self._bk_extend_and_scan()
+                worlds += extended
+                self.stats["worlds_repaired"] += extended
+                if extended and sampling == "reused":
                     sampling = "repaired"
-                    worlds_repaired = int(affected.size)
-                else:
-                    sampling = "reused"
-                if affected.size:
-                    self._repair_rows(affected)
-                    self.stats["worlds_repaired"] += int(affected.size)
-                if self._algorithm == "bsrbk":
-                    # The stopping rule also depends on k_remaining,
-                    # which can move (k_verified drift) while the
-                    # candidate set and Theorem-5 budget stay equal —
-                    # the scan must always run against the fresh value.
-                    stop_changed = (
-                        int(reduction.k_remaining) != self._stop_after
-                    )
-                    self._stop_after = int(reduction.k_remaining)
-                    if affected.size or stop_changed:
-                        # A later stopping point can pull new worlds
-                        # into the evaluated prefix; they are work done
-                        # this refresh, so they count as repaired.
-                        extended = self._bk_rescan()
-                        worlds_repaired += extended
-                        self.stats["worlds_repaired"] += extended
-                        if extended and sampling == "reused":
-                            sampling = "repaired"
-                self.last_repaired_rows = affected
-            else:
-                self._resample(reduction, samples)
-                sampling = "resampled"
-                worlds_repaired = (
-                    self._processed
-                    if self._algorithm == "bsrbk"
-                    else samples
-                )
-                self.stats["worlds_resampled"] += worlds_repaired
-        self._reduction = reduction
-        self._assemble(started)
-        return RefreshReport(
-            mode="incremental",
-            reason="dirty-frontier refresh",
-            dirty_nodes=int(nodes_idx.size),
-            dirty_edges=int(edges_idx.size),
-            bounds_recomputed=delta.nodes_recomputed,
-            reduction_reused=not crossed,
-            sampling=sampling,
-            worlds_repaired=worlds_repaired,
-            samples=self._samples,
-            elapsed_seconds=time.perf_counter() - started,
-        )
+        self.last_repaired_rows = affected
+        return sampling, worlds
 
     # ------------------------------------------------------------------
     # Per-world repair machinery
@@ -1164,37 +1035,66 @@ class TopKMonitor:
         """
         return IndexedReverseSampler(self._graph, candidates, seed=self._seed)
 
-    def _repair_rows(self, rows: np.ndarray) -> None:
-        """Re-explore only the invalidated world rows and splice them in.
+    def _explore_rows(
+        self,
+        sampler: IndexedReverseSampler,
+        world_ids: np.ndarray,
+        rows: np.ndarray,
+    ) -> None:
+        """Explore *world_ids* with *sampler* and store them at *rows*.
 
-        Running totals (candidate counts, work counters) are updated by
-        the repaired rows' delta — all integer arithmetic, so the state
-        is exactly what a full re-summation would produce, at
-        O(repaired) instead of O(samples) cost.
+        The one path by which explored worlds enter the cache: outcome
+        rows, per-world draw counters and, when kept, touched state.
         """
-        assert self._sampler is not None and self._world_outcomes is not None
+        if world_ids.size == 0:
+            return
         state = self._world_state
-        world_ids = self._world_ids[rows]
-        for positions, block in self._sampler.iter_world_blocks(
+        for positions, block in sampler.iter_world_blocks(
             world_ids, collect_touched=state is not None
         ):
             target = rows[positions]
-            if self._counts is not None:  # BSRBK rescans instead
-                old_rows = self._world_outcomes[target]
-                self._counts += block.outcomes.sum(axis=0) - old_rows.sum(axis=0)
-            self._nodes_touched += int(
-                block.node_draws.sum() - self._world_node_draws[target].sum()
-            )
-            self._edges_touched += int(
-                block.edge_draws.sum() - self._world_edge_draws[target].sum()
-            )
             self._world_outcomes[target] = block.outcomes
             self._world_node_draws[target] = block.node_draws
             self._world_edge_draws[target] = block.edge_draws
             if state is not None:
                 state.store_block(target, block)
-        if self._algorithm == "bsr":
-            self._probs = self._counts / float(self._samples)
+
+    def _resize_rows(self, rows: int) -> None:
+        """Truncate or zero-pad the cached per-world rows to *rows*."""
+        kept = min(rows, self._world_node_draws.size)
+
+        def fit(array: np.ndarray) -> np.ndarray:
+            out = np.zeros((rows,) + array.shape[1:], dtype=array.dtype)
+            out[:kept] = array[:kept]
+            return out
+
+        self._world_outcomes = fit(self._world_outcomes)
+        self._world_node_draws = fit(self._world_node_draws)
+        self._world_edge_draws = fit(self._world_edge_draws)
+        if self._world_state is not None:
+            self._world_state.resize(rows)
+
+    def _repair_rows(self, rows: np.ndarray) -> None:
+        """Re-explore only the invalidated world rows, in place.
+
+        Running totals (candidate counts, work counters) move by the
+        repaired rows' delta — all integer arithmetic, so the state is
+        exactly what a full re-summation would produce, at O(repaired)
+        instead of O(samples) cost.  BSRBK keeps no counts: its rescan
+        recomputes the estimate from the repaired prefix.
+        """
+        assert self._sampler is not None and self._world_outcomes is not None
+        counts = self._counts
+        if counts is not None:
+            counts -= self._world_outcomes[rows].sum(axis=0)
+        self._nodes_touched -= int(self._world_node_draws[rows].sum())
+        self._edges_touched -= int(self._world_edge_draws[rows].sum())
+        self._explore_rows(self._sampler, self._world_ids[rows], rows)
+        if counts is not None:
+            counts += self._world_outcomes[rows].sum(axis=0)
+            self._probs = counts / float(self._samples)
+        self._nodes_touched += int(self._world_node_draws[rows].sum())
+        self._edges_touched += int(self._world_edge_draws[rows].sum())
 
     def _can_column(
         self, reduction: CandidateReduction, samples: int
@@ -1245,33 +1145,18 @@ class TopKMonitor:
         """
         assert self._world_state is not None
         state = self._world_state
-        graph = self._graph
         old_candidates = self._sampling_candidates
         new_candidates = reduction.candidates
-        old_samples = self._samples
-        keep = min(old_samples, samples)
-        # 1. Truncate surplus worlds (recompute totals from survivors).
-        if samples < old_samples:
-            self._world_outcomes = self._world_outcomes[:samples].copy()
-            self._world_node_draws = self._world_node_draws[:samples].copy()
-            self._world_edge_draws = self._world_edge_draws[:samples].copy()
-            state.resize(samples)
+        keep = min(self._samples, samples)
+        # 1. Truncate or grow the world prefix.
+        kept_outcomes = self._world_outcomes[:keep]
+        self._resize_rows(samples)
         # 2. Column added candidates into the kept worlds.
-        added = np.setdiff1d(new_candidates, old_candidates)
-        outcomes = np.zeros(
-            (samples, new_candidates.size), dtype=bool
-        )
+        outcomes = np.zeros((samples, new_candidates.size), dtype=bool)
         old_positions = np.searchsorted(new_candidates, old_candidates)
-        outcomes[:keep, old_positions] = self._world_outcomes[:keep]
-        if samples > old_samples:
-            grow_nodes = np.zeros(samples, dtype=np.int64)
-            grow_edges = np.zeros(samples, dtype=np.int64)
-            grow_nodes[:keep] = self._world_node_draws
-            grow_edges[:keep] = self._world_edge_draws
-            self._world_node_draws = grow_nodes
-            self._world_edge_draws = grow_edges
-            state.resize(samples)
+        outcomes[:keep, old_positions] = kept_outcomes
         self._world_outcomes = outcomes
+        added = np.setdiff1d(new_candidates, old_candidates)
         if added.size:
             added_positions = np.searchsorted(new_candidates, added)
             added_sampler = self._make_indexed_sampler(added)
@@ -1283,18 +1168,9 @@ class TopKMonitor:
                 self._world_node_draws[positions] += node_delta
                 self._world_edge_draws[positions] += edge_delta
         # 3. The monitor's sampler now serves the new candidate set.
-        sampler = self._make_indexed_sampler(new_candidates)
-        self._sampler = sampler
-        appended = samples - keep
-        if appended > 0:
-            for positions, block in sampler.iter_world_blocks(
-                np.arange(keep, samples, dtype=np.int64), collect_touched=True
-            ):
-                target = positions + keep
-                outcomes[target] = block.outcomes
-                self._world_node_draws[target] = block.node_draws
-                self._world_edge_draws[target] = block.edge_draws
-                state.store_block(target, block)
+        self._sampler = self._make_indexed_sampler(new_candidates)
+        appended = np.arange(keep, samples, dtype=np.int64)
+        self._explore_rows(self._sampler, appended, appended)
         self._counts = outcomes.sum(axis=0)
         self._probs = self._counts / float(samples)
         self._nodes_touched = int(self._world_node_draws.sum())
@@ -1302,25 +1178,21 @@ class TopKMonitor:
         self._samples = int(samples)
         self._world_ids = np.arange(samples, dtype=np.int64)
         self._sampling_candidates = new_candidates.copy()
-        return appended
+        return int(appended.size)
 
     # ------------------------------------------------------------------
     # (Re)sampling
     # ------------------------------------------------------------------
     def _tracked_state(
-        self, samples: int, rows: int | None = None
+        self, samples: int, rows: int
     ) -> PackedWorldState | None:
-        """Fresh touched-entity state, or ``None`` when over budget.
-
-        The budget is judged against *samples* worlds (the most the run
-        can ever hold); *rows* lets BSRBK start with an empty state that
-        grows with the evaluated prefix.
-        """
+        """Fresh touched-entity state of *rows* worlds, or ``None`` when
+        *samples* worlds (the most the run can ever hold) would exceed
+        the budget."""
         graph = self._graph
         n, m = graph.num_nodes, graph.num_edges
         if PackedWorldState.bytes_needed(samples, n, m) > self._world_state_budget:
             return None
-        rows = samples if rows is None else rows
         in_csr = graph.in_csr()
         return PackedWorldState(
             rows,
@@ -1331,62 +1203,45 @@ class TopKMonitor:
         )
 
     def _resample(self, reduction: CandidateReduction, samples: int) -> None:
-        """Estimate the whole candidate set afresh (as fresh detection)."""
-        sampler = self._make_indexed_sampler(reduction.candidates)
-        self._sampler = sampler
-        if self._algorithm == "bsrbk":
-            self._bk_resample(reduction, samples)
-        else:
-            state = self._tracked_state(samples)
-            outcomes = np.zeros((samples, reduction.candidates.size), dtype=bool)
-            node_draws = np.zeros(samples, dtype=np.int64)
-            edge_draws = np.zeros(samples, dtype=np.int64)
-            for rows, block in sampler.iter_world_blocks(
-                np.arange(samples, dtype=np.int64),
-                collect_touched=state is not None,
-            ):
-                outcomes[rows] = block.outcomes
-                node_draws[rows] = block.node_draws
-                edge_draws[rows] = block.edge_draws
-                if state is not None:
-                    state.store_block(rows, block)
-            self._world_outcomes = outcomes
-            self._world_node_draws = node_draws
-            self._world_edge_draws = edge_draws
-            self._world_state = state
-            self._world_ids = np.arange(samples, dtype=np.int64)
-            self._counts = outcomes.sum(axis=0)
-            self._probs = self._counts / float(samples)
-            self._nodes_touched = int(node_draws.sum())
-            self._edges_touched = int(edge_draws.sum())
-            self._bk_order = self._bk_hashes = None
-            self._processed = 0
+        """Estimate the whole candidate set afresh (as fresh detection).
+
+        BSR explores all *samples* worlds.  BSRBK orders them by their
+        fixed PRF hashes and starts from an empty prefix that its
+        stopping scan grows (:meth:`_bk_extend_and_scan`); everything
+        evaluated stays cached for later repair.
+        """
+        self._sampler = self._make_indexed_sampler(reduction.candidates)
         self._samples = int(samples)
         self._sampling_candidates = reduction.candidates.copy()
         self._stop_after = int(reduction.k_remaining)
+        world_ids = np.arange(samples, dtype=np.int64)
+        rows = 0 if self._algorithm == "bsrbk" else samples
+        self._world_outcomes = np.zeros(
+            (rows, reduction.candidates.size), dtype=bool
+        )
+        self._world_node_draws = np.zeros(rows, dtype=np.int64)
+        self._world_edge_draws = np.zeros(rows, dtype=np.int64)
+        self._world_state = self._tracked_state(samples, rows)
+        if self._algorithm == "bsrbk":
+            hashes = self._sampler.world_hashes(world_ids)
+            order = np.argsort(hashes, kind="stable")
+            self._bk_order = order
+            self._bk_hashes = hashes[order]
+            self._world_ids = order[:0]
+            self._bk_extend_and_scan()
+            return
+        self._world_ids = world_ids
+        self._explore_rows(self._sampler, world_ids, world_ids)
+        self._counts = self._world_outcomes.sum(axis=0)
+        self._probs = self._counts / float(samples)
+        self._nodes_touched = int(self._world_node_draws.sum())
+        self._edges_touched = int(self._world_edge_draws.sum())
+        self._bk_order = self._bk_hashes = None
+        self._processed = 0
 
     # ------------------------------------------------------------------
     # BSRBK (bottom-k early stop over hash-ordered indexed worlds)
     # ------------------------------------------------------------------
-    def _bk_resample(self, reduction: CandidateReduction, samples: int) -> None:
-        """Fresh BSRBK evaluation: hash-order worlds, evaluate until the
-        stopping rule fires, keep everything evaluated for later repair."""
-        sampler = self._sampler
-        hashes = sampler.world_hashes(np.arange(samples, dtype=np.int64))
-        order = np.argsort(hashes, kind="stable")
-        self._bk_order = order
-        self._bk_hashes = hashes[order]
-        self._world_outcomes = np.zeros(
-            (0, reduction.candidates.size), dtype=bool
-        )
-        self._world_node_draws = np.zeros(0, dtype=np.int64)
-        self._world_edge_draws = np.zeros(0, dtype=np.int64)
-        self._world_state = self._tracked_state(samples, rows=0)
-        self._world_ids = order[:0]
-        self._samples = int(samples)
-        self._stop_after = int(reduction.k_remaining)
-        self._bk_extend_and_scan()
-
     def _bk_extend_and_scan(self) -> int:
         """Evaluate hash-ordered worlds until the bottom-k rule stops.
 
@@ -1402,7 +1257,6 @@ class TopKMonitor:
         initial = evaluated = self._world_ids.size
         chunk = max(64, self._sampler.world_batch, evaluated)
         scan = None
-        state = self._world_state
         while True:
             if evaluated:
                 scan = bottom_k_scan(
@@ -1416,31 +1270,10 @@ class TopKMonitor:
                     break
             take = min(chunk, budget - evaluated)
             chunk *= 2
-            world_ids = self._bk_order[evaluated : evaluated + take]
-            grown = evaluated + take
-            outcomes = np.zeros(
-                (grown, self._world_outcomes.shape[1]), dtype=bool
-            )
-            outcomes[:evaluated] = self._world_outcomes
-            node_draws = np.zeros(grown, dtype=np.int64)
-            edge_draws = np.zeros(grown, dtype=np.int64)
-            node_draws[:evaluated] = self._world_node_draws
-            edge_draws[:evaluated] = self._world_edge_draws
-            if state is not None:
-                state.resize(grown)
-            for positions, block in self._sampler.iter_world_blocks(
-                world_ids, collect_touched=state is not None
-            ):
-                target = positions + evaluated
-                outcomes[target] = block.outcomes
-                node_draws[target] = block.node_draws
-                edge_draws[target] = block.edge_draws
-                if state is not None:
-                    state.store_block(target, block)
-            self._world_outcomes = outcomes
-            self._world_node_draws = node_draws
-            self._world_edge_draws = edge_draws
-            evaluated = grown
+            self._resize_rows(evaluated + take)
+            rows = np.arange(evaluated, evaluated + take, dtype=np.int64)
+            self._explore_rows(self._sampler, self._bk_order[rows], rows)
+            evaluated += take
             self._world_ids = self._bk_order[:evaluated]
         self._processed = scan.processed
         self._stopped_early = scan.stopped_early
@@ -1453,11 +1286,6 @@ class TopKMonitor:
             self._world_edge_draws[: scan.processed].sum()
         )
         return evaluated - initial
-
-    def _bk_rescan(self) -> int:
-        """Re-run the stopping scan after repairs (extending on demand);
-        returns the number of newly evaluated worlds."""
-        return self._bk_extend_and_scan()
 
     def _clear_sampling_state(self) -> None:
         self._samples = 0

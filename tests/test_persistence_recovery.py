@@ -156,6 +156,18 @@ class TestRecovery:
         assert service.tenants() == []  # nothing half-registered
         service.close()
 
+    def test_register_record_with_retired_monitor_key_refused(
+        self, graph, tmp_path
+    ):
+        from repro.persistence.wal import WriteAheadLog
+
+        # A registration logged while the monitor still took ``engine``.
+        with WriteAheadLog(tmp_path) as wal:
+            wal.append_register("old", 2, {"seed": 42, "engine": "indexed"})
+            wal.sync()
+        with pytest.raises(PersistenceError, match="'engine'"):
+            RiskService(graph, mode="serial", wal_dir=tmp_path)
+
     def test_fingerprint_mismatch_refused(self, graph, events, tmp_path):
         service = RiskService(
             graph, mode="serial", wal_dir=tmp_path, monitor_defaults=DEFAULTS

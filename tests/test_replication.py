@@ -532,6 +532,50 @@ class TestPromotion:
             promoted.close()
             primary.close()
 
+    def test_promotion_waits_for_the_ingest_in_flight(self, tmp_path):
+        primary = make_primary(tmp_path, name="p1")
+        primary.register_tenant("t1", 5)
+        hub = ReplicationHub(primary)
+        replica = make_replica(tmp_path)
+        shipper = WalShipper(LocalSource(hub), replica)
+        shipper.catch_up()
+        drive(primary, "t1", 1)
+        # Hold the shipped batch after it is persisted on the mirror
+        # but before it is applied: the window promotion must not read
+        # ``applied_seq`` in, or the adopting service applies it twice.
+        applying, release = threading.Event(), threading.Event()
+        apply = replica._pool.apply
+
+        def held_apply(tenant_id, events):
+            applying.set()
+            release.wait(10)
+            return apply(tenant_id, events)
+
+        replica._pool.apply = held_apply
+        ingest = threading.Thread(target=shipper.step)
+        ingest.start()
+        assert applying.wait(10)
+        promoted = []
+        promotion = threading.Thread(
+            target=lambda: promoted.append(replica.promote(fsync="always"))
+        )
+        promotion.start()
+        promotion.join(0.5)
+        release.set()
+        ingest.join(10)
+        promotion.join(10)
+        try:
+            stats = promoted[0].snapshot().shards[0]["monitor_stats"]
+            expected = primary.snapshot().shards[0]["monitor_stats"]
+            assert stats["t1"] == expected["t1"]
+            assert primary.query_topk("t1").same_answer(
+                promoted[0].query_topk("t1")
+            )
+        finally:
+            for service in promoted:
+                service.close()
+            primary.close()
+
     def test_promoted_mirror_restarts_as_plain_durable_service(
         self, tmp_path
     ):

@@ -356,6 +356,19 @@ class TestTopKMonitorOracle:
                 graph, 4
             ),
         )
+        # One patch on the out-hub: a one-node dirty region, but the
+        # hub's 32 out-neighbours push the bound frontier past a quarter
+        # of the graph.
+        src, _, _ = graph.edge_array
+        hub = graph.label(int(np.bincount(src, minlength=120).argmax()))
+        monitor.set_self_risk(hub, 0.95)
+        result = monitor.top_k()
+        assert monitor.last_report.mode == "full"
+        assert monitor.last_report.reason == "bound frontier above threshold"
+        assert_equivalent(
+            result,
+            BoundedSampleReverseDetector(seed=3).detect(graph, 4),
+        )
 
     def test_direct_topology_mutation_without_events_is_detected(self):
         """Regression: top_k() after a *direct* graph mutation (no event
@@ -458,8 +471,6 @@ class TestTopKMonitorBehaviour:
         graph = powerlaw_graph(30, seed=27)
         with pytest.raises(GraphError):
             TopKMonitor(graph, 0)
-        with pytest.raises(GraphError):
-            TopKMonitor(graph, 3, full_rebuild_fraction=0.0)
 
     def test_world_state_budget_zero_still_exact(self):
         graph = powerlaw_graph(120, seed=28)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.bsr import BoundedSampleReverseDetector
+from repro.algorithms.bsrbk import BottomKDetector
 from repro.core.errors import DuplicateEdgeError, GraphError
 from repro.core.graph import UncertainGraph
 from repro.crawling import ObservedGraphSession
@@ -241,11 +242,37 @@ class TestInterleavedLockstep:
         fulls_after_build = monitor.stats["full"]
         for event in events:
             monitor.apply([event])
-            monitor.refresh()
+            report = monitor.refresh()
+            if isinstance(event, (NodeAdd, EdgeAdd)):
+                assert report.mode == "incremental"
+                assert report.reason == "incremental topology ingestion"
+                # Growth always re-runs Algorithm 4.
+                assert report.reduction_reused is False
         # Every NodeAdd/EdgeAdd step must have refreshed through the
         # incremental topology path, never the full fallback.
         assert monitor.stats["topology"] == 16
         assert monitor.stats["full"] == fulls_after_build
+        # Without touched state, growth cannot tell which cached worlds
+        # a new edge reaches: each growth step stays on the topology
+        # path but resamples, still bit-identical to fresh detection.
+        for algorithm, detector in (
+            ("bsr", BoundedSampleReverseDetector(seed=2)),
+            ("bsrbk", BottomKDetector(bk=16, seed=2)),
+        ):
+            graph = powerlaw_graph(200, seed=52)
+            monitor = TopKMonitor(
+                graph, 5, seed=2, algorithm=algorithm, world_state_budget=0
+            )
+            monitor.top_k()
+            for event in events:
+                monitor.apply([event])
+                report = monitor.refresh()
+                if isinstance(event, (NodeAdd, EdgeAdd)):
+                    assert report.reason == "incremental topology ingestion"
+                    assert report.sampling == "resampled"
+                    fresh = detector.detect(graph, 5)
+                    assert monitor.top_k().same_answer(fresh)
+            assert monitor.stats["topology"] == 16
 
 
 class TestWalCrawlReplay:
